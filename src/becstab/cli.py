@@ -88,7 +88,7 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--n-points", type=int, default=512,
                        help="grid points (default 512)")
     group.add_argument("--max-iter", type=int, default=gpe.DEFAULT_MAX_ITER,
-                       help="descent iteration cap")
+                       help="minimizer step cap")
 
 
 def _add_output_flags(parser: argparse.ArgumentParser, csv_help: Optional[str] = None) -> None:
@@ -331,6 +331,12 @@ def _grid_spec(args: argparse.Namespace, dimension: Dimension) -> gpe.GridSpec:
         raise _UsageError(str(exc)) from exc
 
 
+def _unconverged_message(state: gpe.GridState, max_iter: int) -> str:
+    # The minimizer leaves both flags unset at its step cap or on a stall.
+    reason = "hit the iteration cap" if state.iterations >= max_iter else "stalled"
+    return f"minimizer {reason} after {state.iterations} steps, unconverged"
+
+
 def _cmd_oracle(args: argparse.Namespace) -> int:
     problem = _build_problem(args)
     spec = _grid_spec(args, problem.dimension)
@@ -361,7 +367,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.csv is not None and state.converged:
         gpe.dump_profile(state, _open_sink(args.csv))
     if not state.converged and not state.collapsed:
-        raise _ComputeError(f"minimizer hit the iteration cap ({state.iterations}) unconverged")
+        raise _ComputeError(_unconverged_message(state, args.max_iter))
     return 0
 
 
@@ -410,7 +416,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print(f"variational: s_stable={s_stable!r}  s_unstable={s_unstable!r}  E/N={e_var!r}")
         print(f"oracle:      s={s_oracle!r}  E/N={e_oracle!r}")
     if not state.converged and not state.collapsed:
-        raise _ComputeError(f"minimizer hit the iteration cap ({state.iterations}) unconverged")
+        raise _ComputeError(_unconverged_message(state, args.max_iter))
     return 0
 
 

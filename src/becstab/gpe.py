@@ -1,8 +1,8 @@
 """Grid-based energy minimizer for the full mean-field functional.
 
 This is the brute-force cross-check for the Gaussian ansatz: it discretises
-the per-particle energy functional on a uniform grid and walks downhill with
-norm-preserving steepest descent (first-order imaginary-time stepping).  No
+the per-particle energy functional on a uniform grid and minimises it on the
+unit-norm sphere by preconditioned nonlinear conjugate gradient.  No
 closed-form input enters, so agreement with the variational module is a real
 test, and the variational energy must always sit at or above the value found
 here (the Gaussian is one admissible state among many).
@@ -29,13 +29,30 @@ All integrals use trapezoidal weights; with both endpoint values pinned to
 zero that reduces to a plain sum, and the summation-by-parts identity makes
 the bond-difference kinetic sum equal to the 3-point second-difference form.
 Energies are per particle in units of hbar*omega, as everywhere else.
+
+The discrete Euler-Lagrange equation is H(u) u = mu u on the interior
+samples, with the mean-field operator
+
+    H(u) = -Delta_h / 2 + x^2 / 2 + 2 g q u^2,
+
+where Delta_h is the Dirichlet 3-point second difference over h^2, q = 1/r^2
+and g = 2 pi Gamma in 3D, q = 1 and g = Gamma in 1D.  ``minimize`` measures
+how far a state is from solving it by the preconditioned residual
+
+    residual = sqrt( r . P r / u . u ),   r = H(u) u - mu u,
+    mu = u . H(u) u / u . u,              P = (-Delta_h / 2 + 1)^-1,
+
+(plain dot products over the grid samples), and reports ``converged`` only
+when it is at most 1e-6.  P is applied exactly in O(n) memory: the discrete
+sine transform (DST-I), built from the real FFT of the odd extension,
+diagonalises Delta_h.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, IO, Optional, Union
 
@@ -45,9 +62,8 @@ from .units import Dimension
 from .variational import EnergyBreakdown
 
 DEFAULT_MAX_ITER = 500_000
-# Relative energy change below this across a 50-iteration window ends the run.
-_CONVERGENCE_RTOL = 1e-11
-_CONVERGENCE_WINDOW = 50
+# A run is ``converged`` once the preconditioned residual is at most this.
+_RESIDUAL_TOL = 1e-6
 # Collapse detection: cloud width at grid scale, or unbounded energy descent.
 _COLLAPSE_WIDTH_FACTOR = 4.0
 _COLLAPSE_ENERGY = -1e3
@@ -88,8 +104,10 @@ class GridState:
     """A normalised grid wave function with its energy bookkeeping.
 
     ``values`` is phi (1D) or u = r*phi (3D); see the module docstring for
-    the stored normalisation.  ``iterations`` counts minimizer sweeps (0 for
-    hand-built states).
+    the stored normalisation.  ``iterations`` counts accepted minimizer
+    steps.  ``residual`` is the preconditioned residual of ``values`` (see
+    the module docstring) for minimizer output and None for hand-built
+    states.
     """
 
     values: np.ndarray
@@ -99,10 +117,11 @@ class GridState:
     iterations: int = 0
     converged: bool = False
     collapsed: bool = False
+    residual: Optional[float] = None
 
 
 class _Discretisation:
-    """Precomputed arrays and energy/gradient kernels for one (spec, gamma)."""
+    """Precomputed arrays and the energy, residual and line-search kernels for one (spec, gamma)."""
 
     def __init__(self, spec: GridSpec, gamma: float):
         self.spec = spec
@@ -121,6 +140,16 @@ class _Discretisation:
             self.int_coef = gamma
             quartic = np.ones_like(axis)
         self.quartic_weight = quartic
+
+    @cached_property
+    def inverse_spectrum(self) -> np.ndarray:
+        # On the m interior samples, DST-I mode k = 1..m is an eigenvector of
+        # -Delta_h/2 with eigenvalue 2 sin^2(pi k / 2(m+1)) / h^2; the factor
+        # 2/(m+1) makes two unnormalised transforms the identity.
+        m_plus_1 = len(self.axis) - 1
+        k = np.arange(1, m_plus_1)
+        half_laplacian = 2.0 * np.sin(0.5 * math.pi * k / m_plus_1) ** 2 / self.h ** 2
+        return (2.0 / m_plus_1) / (half_laplacian + 1.0)
 
     def normalized(self, values: np.ndarray) -> np.ndarray:
         # Dirichlet grid: both endpoint samples are pinned to zero.
@@ -146,24 +175,53 @@ class _Discretisation:
         )
         return EnergyBreakdown.from_parts(kinetic, potential, interaction)
 
-    def gradient(self, values: np.ndarray) -> np.ndarray:
-        grad = np.empty_like(values)
-        grad[1:-1] = (
-            -(values[2:] - 2.0 * values[1:-1] + values[:-2]) / self.h
-            + self.h * self.sq[1:-1] * values[1:-1]
-            + 4.0 * self.int_coef * self.h
-            * self.quartic_weight[1:-1] * values[1:-1] ** 3
+    def linear(self, values: np.ndarray) -> np.ndarray:
+        """(-Delta_h/2 + x^2/2) applied to the interior; real or complex input."""
+        out = np.zeros_like(values)
+        out[1:-1] = (
+            -0.5 * (values[2:] - 2.0 * values[1:-1] + values[:-2]) / (self.h * self.h)
+            + 0.5 * self.sq[1:-1] * values[1:-1]
         )
-        grad[1:-1] *= self.weight
-        grad[0] = 0.0
-        grad[-1] = 0.0
-        return grad
+        return out
+
+    def hamiltonian(self, values: np.ndarray) -> np.ndarray:
+        """H(u) u; the energy gradient is 2 * weight * h times this."""
+        return self.linear(values) + 2.0 * self.int_coef * self.quartic_weight * values ** 3
+
+    def arc(self, values: np.ndarray, unit: np.ndarray) -> tuple[complex, complex]:
+        """Coefficients (a2, a4) of the energy along the great circle.
+
+        For ``values`` and ``unit`` orthonormal in the grid norm, the energy of
+        u(t) = values cos(t) + unit sin(t) = Re[z e^{it}], z = values - i unit,
+        is Re[a2 e^{2it} + a4 e^{4it}] plus a constant.
+        """
+        z = values - 1j * unit
+        wh = self.weight * self.h
+        qz2 = self.quartic_weight * z * z
+        a2 = 0.5 * wh * complex(
+            np.dot(z, self.linear(z))
+            + self.int_coef * np.dot(qz2, values * values + unit * unit)
+        )
+        a4 = 0.125 * wh * self.int_coef * complex(np.dot(qz2, z * z))
+        return a2, a4
+
+    def precondition(self, values: np.ndarray) -> np.ndarray:
+        """(-Delta_h/2 + 1)^-1 applied to the interior samples."""
+        out = np.zeros_like(values)
+        out[1:-1] = _dst1(self.inverse_spectrum * _dst1(values[1:-1]))
+        return out
 
     def width_from_potential(self, potential: float) -> float:
         # <r^2> (or <x^2>) equals twice the trap term of the breakdown.
         if self.spec.dimension is Dimension.D3:
             return math.sqrt(4.0 * potential / 3.0)
         return 2.0 * math.sqrt(potential)
+
+
+def _dst1(values: np.ndarray) -> np.ndarray:
+    """Unnormalised DST-I, sum_j x_j sin(pi j k / (m+1)), from the FFT of the odd extension."""
+    odd = np.concatenate(([0.0], values, [0.0], -values[::-1]))
+    return -0.5 * np.fft.rfft(odd)[1:len(values) + 1].imag
 
 
 def sample_gaussian(spec: GridSpec, s: float = 1.0) -> np.ndarray:
@@ -224,22 +282,32 @@ def minimize(
     max_iter: int = DEFAULT_MAX_ITER,
     on_accept: Optional[Callable[[float, np.ndarray], None]] = None,
 ) -> GridState:
-    """Norm-preserving steepest descent on the discrete energy.
+    """Preconditioned nonlinear conjugate gradient on the unit-norm sphere.
 
-    Each sweep takes a gradient step and renormalises; a step is accepted
-    only if the energy does not increase, so the energy trace is monotone.
-    The step size starts at h^2/4, halves on any rejected step and doubles
-    after 100 consecutive acceptances, capped at 8x the initial value.
+    Each step computes the residual r = H(u) u - mu u, preconditions it with
+    P = (-Delta_h/2 + 1)^-1 and projects it onto the tangent space of the
+    sphere.  The search direction is that preconditioned gradient plus a
+    Polak-Ribiere+ multiple of the previous direction, carried along the
+    sphere; it restarts as the bare preconditioned gradient whenever its
+    descent rate falls below 0.2 of r . P r.  The step follows the great
+    circle u cos(t) + d sin(t) through the normalised direction d, on which
+    the energy is a trigonometric polynomial in t known in closed form, to
+    its first minimum.  A step is accepted only if that closed form says the
+    energy decreases, so accepted energies are monotone up to rounding and
+    the norm stays 1 to rounding.
 
-    Termination: relative energy change below 1e-11 across a 50-sweep
-    window (``converged``), detected collapse of an attractive cloud to the
-    grid scale (``collapsed``), or the iteration cap (neither flag set; not
-    an exception).  For attractive couplings the default Gaussian start
-    lies in the metastable basin, so the local minimum is found, never the
-    unbounded global descent.
+    Termination: the residual sqrt(r . P r / u . u) (see the module
+    docstring) at most 1e-6 (``converged``); collapse of an attractive cloud
+    to the grid scale (``collapsed``); a stall, where the energy no longer
+    decreases in float64 along the search direction; or ``max_iter``
+    accepted steps.  A stall or the cap sets neither flag and raises no
+    exception.  The returned state's ``residual`` is that of its ``values``
+    on every exit.  For attractive couplings the default Gaussian start lies
+    in the metastable basin, and the energy falls along every accepted arc,
+    so the local minimum is found, never the unbounded global descent.
 
-    ``on_accept(energy, values)`` is invoked after every accepted sweep
-    with a read-only view of the live state.
+    ``on_accept(energy, values)`` is invoked after every accepted step with
+    a read-only view of the live state.
     """
     disc = _Discretisation(spec, gamma)
     if init is not None:
@@ -250,51 +318,52 @@ def minimize(
         values = sample_gaussian(spec, 1.0)
 
     energy = disc.breakdown(values)
-    total = energy.total
-    step0 = disc.h * disc.h / 4.0
-    step = step0
-    step_cap = 8.0 * step0
-    streak = 0
     width_floor = _COLLAPSE_WIDTH_FACTOR * disc.h
-    recent: deque[float] = deque(maxlen=_CONVERGENCE_WINDOW + 1)
-    recent.append(total)
-
-    converged = False
     collapsed = False
     iterations = 0
+    direction = None
+    last_pr = last_rpr = None
 
-    for iterations in range(1, max_iter + 1):
-        # Endpoints stay pinned: the gradient vanishes there by construction.
-        grad = disc.gradient(values)
-        trial = values - step * grad
-        trial /= math.sqrt(disc.norm(trial))
-        trial_energy = disc.breakdown(trial)
-        if trial_energy.total <= total:
-            values = trial
-            energy = trial_energy
-            total = trial_energy.total
-            streak += 1
-            if streak >= 100:
-                step = min(2.0 * step, step_cap)
-                streak = 0
-            if on_accept is not None:
-                view = values.view()
-                view.flags.writeable = False
-                on_accept(total, view)
-            if (
-                total < _COLLAPSE_ENERGY
-                or disc.width_from_potential(energy.potential) < width_floor
-            ):
-                collapsed = True
-                break
+    while True:
+        hu = disc.hamiltonian(values)
+        uu = float(np.dot(values, values))
+        residual = hu - (float(np.dot(values, hu)) / uu) * values
+        pr = disc.precondition(residual)
+        rpr = float(np.dot(residual, pr))
+        residual_norm = math.sqrt(rpr / uu)
+        converged = not collapsed and residual_norm <= _RESIDUAL_TOL
+        if converged or collapsed or iterations >= max_iter:
+            break
+        pr -= (float(np.dot(values, pr)) / uu) * values
+        if direction is not None:
+            beta = max(0.0, (rpr - float(np.dot(residual, last_pr))) / last_rpr)
+            direction = beta * direction - pr
+            if -float(np.dot(direction, residual)) < 0.2 * rpr:
+                direction = -pr
         else:
-            step *= 0.5
-            streak = 0
-        recent.append(total)
-        if len(recent) > _CONVERGENCE_WINDOW:
-            if abs(recent[0] - total) < _CONVERGENCE_RTOL * max(1.0, abs(total)):
-                converged = True
-                break
+            direction = -pr
+        last_pr, last_rpr = pr, rpr
+
+        length = math.sqrt(disc.norm(direction))
+        unit = direction / length
+        a2, a4 = disc.arc(values, unit)
+        t = _arc_step(a2, a4)
+        if t is None:
+            break
+        cos_t, sin_t = math.cos(t), math.sin(t)
+        trial = cos_t * values + sin_t * unit
+        direction = length * (cos_t * unit - sin_t * values)
+        values = trial / math.sqrt(disc.norm(trial))
+        energy = disc.breakdown(values)
+        iterations += 1
+        if on_accept is not None:
+            view = values.view()
+            view.flags.writeable = False
+            on_accept(energy.total, view)
+        collapsed = (
+            energy.total < _COLLAPSE_ENERGY
+            or disc.width_from_potential(energy.potential) < width_floor
+        )
 
     return GridState(
         values=values,
@@ -304,7 +373,40 @@ def minimize(
         iterations=iterations,
         converged=converged,
         collapsed=collapsed,
+        residual=residual_norm,
     )
+
+
+def _arc_step(a2: complex, a4: complex) -> Optional[float]:
+    """First local minimum t > 0 of f(t) = Re[a2 e^{2it} + a4 e^{4it}].
+
+    Returns None unless f descends from t = 0 to there.  Where the slope
+    s = f'(t) is negative and c = f''(t), the bound |f'''| <= m with
+    m = 8 |a2| + 64 |a4| keeps the slope negative on [t, t + h) for the
+    positive root h of s + c h + m h^2 / 2 = 0.  Stepping by h therefore
+    climbs to the first zero of f' without passing it, quadratically fast
+    near that zero.
+    """
+    def slope(t: float) -> tuple[float, float]:
+        e = complex(math.cos(2.0 * t), math.sin(2.0 * t))
+        return -(e * (2.0 * a2 + 4.0 * a4 * e)).imag, -(e * (4.0 * a2 + 16.0 * a4 * e)).real
+
+    m = 8.0 * abs(a2) + 64.0 * abs(a4)
+    t = 0.0
+    s, c = slope(t)
+    if not s < 0.0:
+        return None
+    for _ in range(100):
+        root = math.sqrt(c * c - 2.0 * m * s)
+        h = (root - c) / m if c < 0.0 else -2.0 * s / (c + root)
+        t += h
+        s, c = slope(t)
+        if not s < 0.0 or h <= 1e-15 * t:
+            break
+    # f(t) - f(0), using e^{ix} - 1 = 2i sin(x/2) e^{ix/2} to avoid cancellation
+    half = complex(math.cos(t), math.sin(t))
+    drop = -2.0 * (a2 * math.sin(t) * half + a4 * math.sin(2.0 * t) * half * half).imag
+    return t if drop < 0.0 else None
 
 
 def measured_width(state: GridState) -> float:
@@ -313,11 +415,11 @@ def measured_width(state: GridState) -> float:
     Returns sqrt(2 <r^2> / 3) in 3D and sqrt(2 <x^2>) in 1D, which equal
     sigma/a_ho exactly when the state is Gaussian.  Collapsed states have no
     meaningful width; minimizer output that failed to converge is rejected
-    too (hand-built states, ``iterations`` = 0, are always measurable).
+    too (hand-built states, ``residual`` None, are always measurable).
     """
     if state.collapsed:
         raise ValueError("collapsed state has no meaningful width")
-    if state.iterations > 0 and not state.converged:
+    if state.residual is not None and not state.converged:
         raise ValueError("unconverged minimizer state; width would be untrustworthy")
     disc = _Discretisation(state.spec, state.gamma_total)
     density = state.values * state.values
@@ -328,14 +430,14 @@ def measured_width(state: GridState) -> float:
 
 
 def critical_scan(spec: GridSpec, bracket: tuple[float, float]) -> float:
-    """Bisect the coupling between collapsing and stable descent outcomes.
+    """Bisect the coupling between collapsing and stable minimizer outcomes.
 
     ``bracket`` = (gamma_lo, gamma_hi) with gamma_lo < gamma_hi < 0; the
     lower edge must collapse and the upper edge must converge, otherwise the
     bracket is rejected.  Probes are sequential and warm-start from the most
-    recent stable profile.  A probe that hits the iteration cap without
-    collapsing counts as stable.  Returns the bracket midpoint once its
-    width is below 0.01.
+    recent stable profile.  A probe that stops at the step cap or on a
+    stall without collapsing counts as stable.  Returns the bracket midpoint
+    once its width is below 0.01.
     """
     gamma_lo, gamma_hi = bracket
     if not (gamma_lo < gamma_hi < 0.0):

@@ -3,16 +3,25 @@
 Everything here deliberately avoids the production root finder: roots are
 located by dense sign-change scans refined with scipy's brentq, and the
 degenerate (double-root) coupling is found by bisecting on the sign of the
-slope function's minimum.  Agreement between these routines and the library
-is the point of the tests.
+slope function's minimum.  The grid oracles rebuild the discrete
+Euler-Lagrange operator from the conventions of the ``becstab.gpe`` module
+docstring and solve it with scipy's banded solver and, through the
+benchmark's reference, its tridiagonal eigensolver, never with the library's
+minimizer.  Agreement between these
+routines and the library is the point of the tests.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import math
+from pathlib import Path
+
 import numpy as np
+from scipy.linalg import solve_banded
 from scipy.optimize import brentq, minimize_scalar
 
-from becstab import Dimension, DimensionlessProblem, denergy
+from becstab import Dimension, DimensionlessProblem, GridSpec, denergy
 
 
 def slope(problem: DimensionlessProblem):
@@ -87,3 +96,51 @@ def central_difference(fn, x: float, order: int = 1) -> float:
     if order == 1:
         return (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
     return (-fm2 + 16.0 * fm1 - 30.0 * fn(x) + 16.0 * fp1 - fp2) / (12.0 * h * h)
+
+
+# --- grid oracles ------------------------------------------------------------------------
+
+# The benchmark's reference for the discrete ground-state energy, loaded by
+# path so that one copy serves both; it does not import the library.
+_REFERENCE_SPEC = importlib.util.spec_from_file_location(
+    "perfbench_reference", Path(__file__).resolve().parents[1] / "perfbench" / "reference.py")
+_REFERENCE = importlib.util.module_from_spec(_REFERENCE_SPEC)
+_REFERENCE_SPEC.loader.exec_module(_REFERENCE)
+
+
+def stated_residual(spec: GridSpec, gamma: float, values: np.ndarray) -> float:
+    """sqrt(r . P r / u . u) as the ``becstab.gpe`` docstring defines it.
+
+    r = H(u) u - mu u with mu = u . H(u) u / u . u on the interior samples,
+    H(u) = -Delta_h/2 + x^2/2 + 2 g q u^2 with q = 1/r^2 and g = 2 pi Gamma in
+    3D, q = 1 and g = Gamma in 1D; P r solves (-Delta_h/2 + 1) y = r as a
+    banded system.
+    """
+    h = spec.r_max / (spec.n_points - 1)
+    if spec.dimension is Dimension.D3:
+        x = np.linspace(0.0, spec.r_max, spec.n_points)[1:-1]
+        g, q = 2.0 * math.pi * gamma, 1.0 / x**2
+    else:
+        x = np.linspace(-spec.r_max, spec.r_max, 2 * spec.n_points - 1)[1:-1]
+        g, q = gamma, 1.0
+    u = np.asarray(values, dtype=float)[1:-1]
+    off = -0.5 / h**2
+    hu = (1.0 / h**2 + 0.5 * x**2 + 2.0 * g * q * u * u) * u
+    hu[:-1] += off * u[1:]
+    hu[1:] += off * u[:-1]
+    r = hu - float(np.dot(u, hu)) / float(np.dot(u, u)) * u
+    bands = np.array([np.full(len(u), off), np.full(len(u), 1.0 / h**2 + 1.0), np.full(len(u), off)])
+    pr = solve_banded((1, 1), bands, r)
+    return math.sqrt(float(np.dot(r, pr)) / float(np.dot(u, u)))
+
+
+def grid_ground_state_energy(spec: GridSpec, gamma: float) -> float:
+    """Discrete ground-state energy by a damped self-consistent eigensolve.
+
+    See ``perfbench/reference.py``: scipy's tridiagonal eigensolver with the
+    density mixed 50/50 between sweeps, which keeps attractive couplings on
+    the metastable branch of a Gaussian start.
+    """
+    energy, res = _REFERENCE.ground_state_energy(spec.dimension.value, spec.r_max, spec.n_points, gamma)
+    assert res < _REFERENCE.RESIDUAL_TOL, f"reference did not converge at gamma={gamma}"
+    return energy

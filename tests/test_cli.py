@@ -1,13 +1,14 @@
 """Command-line surface: flags, config merging, output formats, exit codes."""
 
+import dataclasses
 import json
 import shutil
 import subprocess
 
 import pytest
 
-from becstab import CSV_HEADER, parse_csv
-from becstab.cli import run
+from becstab import CSV_HEADER, Dimension, GridSpec, gaussian_state, parse_csv
+from becstab.cli import _unconverged_message, run
 
 LI7_FLAGS = ["--mass-amu", "7.016", "--freq-hz", "120",
              "--scattering-a", "-1.45e-9", "--dim", "3"]
@@ -218,9 +219,18 @@ def test_oracle_json_and_profile(capsys):
 
 def test_oracle_unconverged_is_compute_failure(capsys):
     code = run(["oracle", "--dim", "3", "--gamma", "1.0", "--n-points", "128",
-                "--r-max", "6", "--max-iter", "30"])
+                "--r-max", "6", "--max-iter", "3"])
     assert code == 2
-    assert "compute failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "compute failure" in err
+    assert "iteration cap" in err
+
+
+def test_unconverged_message_tells_a_stall_from_the_cap():
+    state = gaussian_state(GridSpec(Dimension.D3, 6.0, 128), 1.0)
+    stalled = dataclasses.replace(state, iterations=5)
+    assert "stalled" in _unconverged_message(stalled, max_iter=30)
+    assert "iteration cap" in _unconverged_message(stalled, max_iter=5)
 
 
 def test_oracle_collapse_is_reported_not_failed(capsys):

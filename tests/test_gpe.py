@@ -21,6 +21,7 @@ from becstab import (
     state_from_values,
     stationary_points,
 )
+from helpers import grid_ground_state_energy, stated_residual
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -149,8 +150,7 @@ def test_minimize_is_monotone_and_norm_preserving():
 
     def record(energy, values):
         energies.append(energy)
-        if len(energies) % 500 == 0:
-            norms.append(weight * h * float(np.dot(values, values)))
+        norms.append(weight * h * float(np.dot(values, values)))
 
     out = minimize(spec, -0.3, on_accept=record)
     assert out.converged
@@ -160,6 +160,20 @@ def test_minimize_is_monotone_and_norm_preserving():
     for norm in norms:
         assert abs(norm - 1.0) < 1e-12
     assert energies[-1] <= energies[0]
+
+
+@pytest.mark.parametrize("dim, gamma", [
+    (Dimension.D3, 1.0), (Dimension.D3, -0.3), (Dimension.D1, 1.0), (Dimension.D1, -0.5),
+])
+def test_minimize_meets_stated_residual_and_reference_energy(dim, gamma):
+    spec = GridSpec(dim)
+    out = minimize(spec, gamma)
+    assert out.converged and not out.collapsed
+    # the bound that defines ``converged``, recomputed from the docstring
+    residual = stated_residual(spec, gamma, out.values)
+    assert residual <= 1e-6
+    assert out.residual == pytest.approx(residual, rel=1e-6)
+    assert abs(out.energy.total - grid_ground_state_energy(spec, gamma)) <= 1e-10
 
 
 def test_minimize_starts_anywhere_monotone():
@@ -179,9 +193,23 @@ def test_minimize_rejects_foreign_init():
 
 
 def test_minimize_iteration_cap_reports_unconverged():
-    out = minimize(FAST_3D, 1.0, max_iter=40)
+    out = minimize(FAST_3D, 1.0, max_iter=3)
     assert not out.converged and not out.collapsed
-    assert out.iterations == 40
+    assert out.iterations == 3
+    with pytest.raises(ValueError):
+        measured_width(out)
+    # a negative cap takes no step, as a cap of zero does
+    out = minimize(FAST_3D, 1.0, max_iter=-1)
+    assert not out.converged and not out.collapsed
+    assert out.iterations == 0
+    with pytest.raises(ValueError):
+        measured_width(out)
+
+
+def test_measured_width_rejects_a_stall_before_the_first_step():
+    out = minimize(FAST_3D, float("nan"))
+    assert not out.converged and not out.collapsed
+    assert out.iterations == 0
     with pytest.raises(ValueError):
         measured_width(out)
 
@@ -228,6 +256,9 @@ def test_minimized_width_tracks_variational_branch():
 def test_critical_scan_brackets_and_value():
     gamma_crit = critical_scan(FAST_3D, (-1.0, -0.1))
     assert -0.671 < gamma_crit < -0.5
+    # every probe outcome is pinned: a step that jumps the barrier near the
+    # fold would move the final bracket
+    assert gamma_crit == pytest.approx(-0.574609375, abs=1e-12)
     # the Gaussian bound always overestimates stability
     assert abs(gamma_crit) < 0.6705133427357031
 
@@ -236,6 +267,8 @@ def test_critical_scan_grid_refinement():
     coarse = critical_scan(FAST_3D, (-1.0, -0.1))
     fine = critical_scan(GridSpec(Dimension.D3, 6.0, 256), (-1.0, -0.1))
     assert abs(coarse - fine) < 0.01
+    assert coarse == pytest.approx(-0.574609375, abs=1e-12)
+    assert fine == pytest.approx(-0.574609375, abs=1e-12)
 
 
 def test_critical_scan_rejects_bad_brackets():
