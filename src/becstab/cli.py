@@ -12,7 +12,8 @@ Setups come from SI flags (``--mass-amu``, ``--freq-hz``, ``--scattering-a``
 or ``--coupling-1d``, ``--dim``, ``--n-atoms``), from a ``key=value`` config
 file (flags win), or from the dimensionless shortcut ``--gamma`` + ``--dim``.
 
-Exit status: 0 success, 1 validation error, 2 compute failure.
+Exit status: 0 success, 1 validation error (including non-finite input),
+2 compute failure (an unconverged grid run or an arithmetic overflow).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import IO, Optional, Sequence, Union
 import numpy as np
 
 from . import gpe
-from .sweep import SweepRow, _variational_columns, emit_csv
+from .sweep import comparison_row, emit_csv
 from .sweep import sweep as run_sweep
 from .units import (
     Dimension,
@@ -169,10 +170,7 @@ def _build_setup(args: argparse.Namespace, need_n: bool = False) -> PhysicalSetu
     entries = _setup_entries(args)
     if need_n and "n_atoms" not in entries:
         raise _UsageError("this command needs --n-atoms (or n_atoms in the config)")
-    try:
-        return setup_from_mapping(entries)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    return setup_from_mapping(entries)
 
 
 def _build_problem(args: argparse.Namespace) -> DimensionlessProblem:
@@ -318,17 +316,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise _UsageError("sweep ranges over atom numbers; it needs an SI setup, not --gamma")
     setup = _build_setup(args)
     n_values = _sweep_values(args)
-    grid = _grid_spec(args, setup.dimension) if args.with_oracle else None
+    grid = gpe.GridSpec(setup.dimension, args.r_max, args.n_points) if args.with_oracle else None
     rows = run_sweep(setup, n_values, with_oracle=args.with_oracle, grid=grid)
     emit_csv(rows, _open_sink(args.csv if args.csv is not None else "-"))
     return 0
-
-
-def _grid_spec(args: argparse.Namespace, dimension: Dimension) -> gpe.GridSpec:
-    try:
-        return gpe.GridSpec(dimension=dimension, r_max=args.r_max, n_points=args.n_points)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
 
 
 def _unconverged_message(state: gpe.GridState, max_iter: int) -> str:
@@ -339,7 +330,7 @@ def _unconverged_message(state: gpe.GridState, max_iter: int) -> str:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     problem = _build_problem(args)
-    spec = _grid_spec(args, problem.dimension)
+    spec = gpe.GridSpec(problem.dimension, args.r_max, args.n_points)
     state = gpe.minimize(spec, problem.gamma_total, max_iter=args.max_iter)
     payload = {
         "dimension": problem.dimension.value,
@@ -374,47 +365,26 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     problem = _build_problem(args)
     report = stationary_points(problem)
-    spec = _grid_spec(args, problem.dimension)
+    spec = gpe.GridSpec(problem.dimension, args.r_max, args.n_points)
     state = gpe.minimize(spec, problem.gamma_total, max_iter=args.max_iter)
-
-    s_stable, s_unstable, e_var = _variational_columns(report)
-    regime = report.regime.value
-    s_oracle = e_oracle = None
-    if state.collapsed:
-        regime += "_oracle_collapsed"
-    elif not state.converged:
-        regime += "_oracle_unconverged"
-    else:
-        s_oracle = gpe.measured_width(state)
-        e_oracle = state.energy.total
-
-    if args.gamma is None and args.n_atoms is not None:
-        n_atoms = float(args.n_atoms)
-    else:
-        n_atoms = math.nan   # comparison ran from a bare coupling
-    row = SweepRow(
-        n_atoms=n_atoms,
-        gamma=problem.gamma_total,
-        s_stable=s_stable,
-        s_unstable=s_unstable,
-        e_var=e_var,
-        s_oracle=s_oracle,
-        e_oracle=e_oracle,
-        regime=regime,
-    )
+    # --gamma excludes --n-atoms, so a bare coupling gets NaN here.
+    n_atoms = math.nan if args.n_atoms is None else float(args.n_atoms)
+    row = comparison_row(n_atoms, report, state)
     if args.json:
         _print_json({
             "gamma": row.gamma,
             "regime": row.regime,
-            "variational": {"s_stable": s_stable, "s_unstable": s_unstable, "e_per_atom": e_var},
-            "oracle": {"s": s_oracle, "e_per_atom": e_oracle},
+            "variational": {"s_stable": row.s_stable, "s_unstable": row.s_unstable,
+                            "e_per_atom": row.e_var},
+            "oracle": {"s": row.s_oracle, "e_per_atom": row.e_oracle},
         })
     elif args.csv is not None:
         emit_csv([row], _open_sink(args.csv))
     else:
-        print(f"gamma:  {row.gamma!r}   regime: {regime}")
-        print(f"variational: s_stable={s_stable!r}  s_unstable={s_unstable!r}  E/N={e_var!r}")
-        print(f"oracle:      s={s_oracle!r}  E/N={e_oracle!r}")
+        print(f"gamma:  {row.gamma!r}   regime: {row.regime}")
+        print(f"variational: s_stable={row.s_stable!r}  s_unstable={row.s_unstable!r}"
+              f"  E/N={row.e_var!r}")
+        print(f"oracle:      s={row.s_oracle!r}  E/N={row.e_oracle!r}")
     if not state.converged and not state.collapsed:
         raise _ComputeError(_unconverged_message(state, args.max_iter))
     return 0
@@ -437,14 +407,14 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if args.command is None:
             raise _UsageError("missing subcommand (try --help)")
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except _ComputeError as exc:
         print(f"compute failure: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:   # e.g. a finite but huge coupling overflows
+        print(f"compute failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

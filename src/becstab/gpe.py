@@ -51,6 +51,7 @@ diagonalises Delta_h.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -84,10 +85,12 @@ class GridSpec:
     n_points: int = 512
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n_points, numbers.Integral):
+            raise ValueError(f"n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 64:
             raise ValueError(f"n_points must be >= 64, got {self.n_points}")
-        if self.r_max < 6.0:
-            raise ValueError(f"r_max must be >= 6 oscillator lengths, got {self.r_max}")
+        if not (math.isfinite(self.r_max) and self.r_max >= 6.0):
+            raise ValueError(f"r_max must be finite and >= 6 oscillator lengths, got {self.r_max}")
 
     @property
     def spacing(self) -> float:

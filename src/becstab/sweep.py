@@ -36,13 +36,37 @@ class SweepRow:
     regime: str
 
 
-def _variational_columns(report: StabilityReport):
+def comparison_row(
+    n_atoms: float, report: StabilityReport, state: Optional[gpe.GridState] = None
+) -> SweepRow:
+    """One record from a variational report and, optionally, a grid minimizer run.
+
+    Without ``state`` the oracle columns stay empty.  A ``state`` that
+    collapsed or did not converge also leaves them empty and instead tags
+    the regime with ``_oracle_collapsed`` or ``_oracle_unconverged``.
+    """
     minimum = report.minimum
     maximum = report.maximum
-    s_stable = minimum.s if minimum is not None else None
-    e_var = minimum.energy.total if minimum is not None else None
-    s_unstable = maximum.s if maximum is not None else None
-    return s_stable, s_unstable, e_var
+    regime = report.regime.value
+    s_oracle = e_oracle = None
+    if state is not None:
+        if state.collapsed:
+            regime += "_oracle_collapsed"
+        elif not state.converged:
+            regime += "_oracle_unconverged"
+        else:
+            s_oracle = gpe.measured_width(state)
+            e_oracle = state.energy.total
+    return SweepRow(
+        n_atoms=n_atoms,
+        gamma=report.problem.gamma_total,
+        s_stable=minimum.s if minimum is not None else None,
+        s_unstable=maximum.s if maximum is not None else None,
+        e_var=minimum.energy.total if minimum is not None else None,
+        s_oracle=s_oracle,
+        e_oracle=e_oracle,
+        regime=regime,
+    )
 
 
 def sweep(
@@ -55,9 +79,10 @@ def sweep(
 
     ``setup`` provides trap and interaction; its own ``n_atoms`` is ignored.
     ``n_values`` must be non-empty, non-negative and sorted ascending.
-    Oracle columns are filled only when ``with_oracle``; a minimizer run
-    that collapses or fails to converge leaves them empty and tags the
-    row's regime instead of aborting the sweep.
+    Oracle columns are filled only when ``with_oracle``, and only for rows
+    with a variational minimum; a minimizer run that collapses or fails to
+    converge leaves them empty and tags the row's regime instead of
+    aborting the sweep (see :func:`comparison_row`).
     """
     if len(n_values) == 0:
         raise ValueError("n_values must be non-empty")
@@ -70,31 +95,11 @@ def sweep(
     for n in n_values:
         problem = reduce(setup.with_n(float(n)))
         report = stationary_points(problem)
-        s_stable, s_unstable, e_var = _variational_columns(report)
-        regime = report.regime.value
-        s_oracle = e_oracle = None
-        if with_oracle and s_stable is not None:
+        state = None
+        if with_oracle and report.minimum is not None:
             grid_spec = grid if grid is not None else gpe.GridSpec(dimension=problem.dimension)
             state = gpe.minimize(grid_spec, problem.gamma_total)
-            if state.collapsed:
-                regime += "_oracle_collapsed"
-            elif not state.converged:
-                regime += "_oracle_unconverged"
-            else:
-                s_oracle = gpe.measured_width(state)
-                e_oracle = state.energy.total
-        rows.append(
-            SweepRow(
-                n_atoms=float(n),
-                gamma=problem.gamma_total,
-                s_stable=s_stable,
-                s_unstable=s_unstable,
-                e_var=e_var,
-                s_oracle=s_oracle,
-                e_oracle=e_oracle,
-                regime=regime,
-            )
-        )
+        rows.append(comparison_row(float(n), report, state))
     return rows
 
 

@@ -92,10 +92,14 @@ class OscillatorScales:
 
 @dataclass(frozen=True)
 class DimensionlessProblem:
-    """Oscillator-unit reduction of a setup: dimension plus total coupling."""
+    """Oscillator-unit reduction of a setup: dimension plus finite total coupling."""
 
     dimension: Dimension
     gamma_total: float
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.gamma_total):
+            raise ValueError(f"gamma_total must be finite, got {self.gamma_total}")
 
 
 def derive_scales(setup: PhysicalSetup) -> OscillatorScales:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -66,25 +65,6 @@ class EnergyBreakdown:
         return cls(kinetic, potential, interaction, kinetic + potential + interaction)
 
 
-@dataclass(frozen=True)
-class GaussianAnsatz:
-    """Gaussian trial state of width ``s`` (in a_ho) for a given problem.
-
-    The normalisation prefactor is eliminated algebraically, so ``s`` is the
-    only free parameter.
-    """
-
-    s: float
-    problem: DimensionlessProblem
-
-    def __post_init__(self) -> None:
-        if not self.s > 0.0:
-            raise ValueError(f"width must be positive, got {self.s}")
-
-    def energy(self) -> EnergyBreakdown:
-        return ansatz_energy(self.s, self.problem)
-
-
 class PointKind(Enum):
     MINIMUM = "minimum"
     MAXIMUM = "maximum"
@@ -101,12 +81,20 @@ class Regime(Enum):
 
 @dataclass(frozen=True)
 class StationaryPoint:
-    """A root of de/ds with its curvature classification."""
+    """A root of de/ds with its curvature classification.
+
+    ``residual`` is |de/ds| at ``s``, and :func:`stationary_points` keeps it
+    at most max(1e-10, 4 eps * sum of |terms of de/ds at s|), eps the float64
+    epsilon.  The relative part is the rounding floor of de/ds; it dominates
+    where the terms are large (the 3D barrier width at |Gamma| below ~0.02,
+    1D at large |Gamma|).  The exactly critical report is exempt: its one
+    point sits at S_MIN_3D by construction.
+    """
 
     s: float
     kind: PointKind
     energy: EnergyBreakdown
-    residual: float     # |de/ds| at the returned width
+    residual: float
 
 
 @dataclass(frozen=True)
@@ -136,11 +124,6 @@ class StabilityReport:
         return None
 
 
-class CriticalPoint(NamedTuple):
-    s_min: float
-    gamma_critical: float
-
-
 @dataclass(frozen=True)
 class CriticalNumber:
     """Maximum stable atom number of an attractive 3D setup.
@@ -156,10 +139,6 @@ class CriticalNumber:
     n_via_gamma: float
 
     @property
-    def n_max(self) -> float:
-        return self.n_direct
-
-    @property
     def n_floor(self) -> int | None:
         """Largest whole atom count below the critical curve."""
         if not self.bounded:
@@ -167,33 +146,19 @@ class CriticalNumber:
         return math.floor(self.n_direct)
 
 
-def energy_1d(s: float, gamma: float) -> EnergyBreakdown:
-    """Per-particle Gaussian energy in 1D: 1/(4s^2) + s^2/4 + Gamma/(sqrt(2 pi) s)."""
-    if not s > 0.0:
-        raise ValueError(f"width must be positive, got {s}")
-    return EnergyBreakdown.from_parts(
-        kinetic=1.0 / (4.0 * s * s),
-        potential=s * s / 4.0,
-        interaction=gamma / (SQRT_2PI * s),
-    )
-
-
-def energy_3d(s: float, gamma: float) -> EnergyBreakdown:
-    """Per-particle Gaussian energy in 3D: 3/(4s^2) + 3s^2/4 + Gamma/(sqrt(2 pi) s^3)."""
-    if not s > 0.0:
-        raise ValueError(f"width must be positive, got {s}")
-    return EnergyBreakdown.from_parts(
-        kinetic=3.0 / (4.0 * s * s),
-        potential=3.0 * s * s / 4.0,
-        interaction=gamma / (SQRT_2PI * s**3),
-    )
-
-
 def ansatz_energy(s: float, problem: DimensionlessProblem) -> EnergyBreakdown:
-    """Dispatch to :func:`energy_1d` or :func:`energy_3d` by dimension."""
-    if problem.dimension is Dimension.D3:
-        return energy_3d(s, problem.gamma_total)
-    return energy_1d(s, problem.gamma_total)
+    """Per-particle Gaussian energy at width ``s``, term by term.
+
+    With d the dimension (1 or 3): d/(4 s^2) + d s^2/4 + Gamma/(sqrt(2 pi) s^d).
+    """
+    if not s > 0.0:
+        raise ValueError(f"width must be positive, got {s}")
+    d = problem.dimension.value
+    return EnergyBreakdown.from_parts(
+        kinetic=d / (4.0 * s * s),
+        potential=d * s * s / 4.0,
+        interaction=problem.gamma_total / (SQRT_2PI * s**d),
+    )
 
 
 def denergy(s: float, problem: DimensionlessProblem, order: int = 1) -> float:
@@ -250,11 +215,6 @@ def n_of_sigma(sigma: float, setup: PhysicalSetup) -> float:
     if setup.dimension is Dimension.D3:
         return (2.0 * math.pi) ** 1.5 / coupling * (half_trap * sigma**5 - half_kin * sigma)
     return SQRT_2PI / coupling * (half_trap * sigma**3 - half_kin / sigma)
-
-
-def critical_3d() -> CriticalPoint:
-    """Width and coupling magnitude where the attractive 3D branches merge."""
-    return CriticalPoint(s_min=S_MIN_3D, gamma_critical=GAMMA_CRITICAL_3D)
 
 
 def n_max_physical(setup: PhysicalSetup) -> CriticalNumber:
@@ -394,7 +354,8 @@ def stationary_points(problem: DimensionlessProblem) -> StabilityReport:
 
     Roots are bracketed by sign changes on the scan grid, refined by
     bisection and polished with Newton steps; zero roots is a valid outcome
-    (3D attractive past the critical coupling).
+    (3D attractive past the critical coupling).  Every point meets the
+    residual bound stated on :class:`StationaryPoint`.
     """
     gamma = problem.gamma_total
     three_d = problem.dimension is Dimension.D3

@@ -10,12 +10,13 @@ import numpy as np
 
 from becstab import (
     ATOMIC_MASS,
+    GAMMA_CRITICAL_3D,
+    S_MIN_3D,
     Dimension,
     DimensionlessProblem,
     GridSpec,
     PhysicalSetup,
     PointKind,
-    critical_3d,
     critical_scan,
     denergy,
     emit_csv,
@@ -49,7 +50,7 @@ def li7(freq_hz: float = 120.0) -> PhysicalSetup:
 
 
 def test_criterion_1_critical_width():
-    s_min = critical_3d().s_min
+    s_min = S_MIN_3D
     _verdict(1, "critical width 5^(-1/4)", [
         (abs(s_min - 0.668740304976422) < 1e-12,
          f"s_min={s_min!r} not within 1e-12 of 0.668740304976422"),
@@ -58,11 +59,11 @@ def test_criterion_1_critical_width():
 
 def test_criterion_2_critical_coupling():
     gamma_merge, s_merge = locate_double_root(merge_tol=1e-6)
-    gamma_crit = critical_3d().gamma_critical
+    gamma_crit = GAMMA_CRITICAL_3D
     _verdict(2, "critical coupling vs independent double-root search", [
         (abs(-gamma_merge - gamma_crit) < 5e-6,
          f"double-root search gave {-gamma_merge!r}, closed form {gamma_crit!r}"),
-        (abs(s_merge - critical_3d().s_min) < 1e-3,
+        (abs(s_merge - S_MIN_3D) < 1e-3,
          f"merge width {s_merge!r} far from 5^(-1/4)"),
     ])
 

@@ -133,6 +133,26 @@ def test_bad_grid_flags(capsys):
     assert "n_points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["minimize", "--dim", "3", "--gamma", "nan"],
+    ["minimize", "--dim", "1", "--gamma", "inf"],
+    ["minimize", *LI7_FLAGS, "--n-atoms", "inf"],
+    ["oracle", "--dim", "3", "--gamma", "0", "--r-max", "inf"],
+    ["oracle", "--dim", "3", "--gamma", "0", "--r-max", "nan"],
+])
+def test_non_finite_input_is_validation_error(argv, capsys):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "finite" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_arithmetic_overflow_is_compute_failure(capsys):
+    assert run(["minimize", "--dim", "3", "--gamma", "1e300"]) == 2
+    assert capsys.readouterr().err.startswith("compute failure: OverflowError")
+
+
 # --- config file ---------------------------------------------------------------------
 
 def test_config_file_supplies_setup(tmp_path, capsys):
@@ -251,6 +271,15 @@ def test_compare_text_and_csv(capsys):
     assert lines[0] == CSV_HEADER
     fields = lines[1].split(",")
     assert fields[-1] == "attractive_subcritical"
+
+
+def test_compare_runs_the_oracle_without_a_minimum(capsys):
+    # sweep skips the grid run when the ansatz has no minimum; compare does not
+    assert run(["compare", "--dim", "3", "--gamma", "-0.7", "--n-points", "128",
+                "--r-max", "6", "--csv", "-"]) == 0
+    row = parse_csv(capsys.readouterr().out)[0]
+    assert row.regime == "attractive_collapsed_oracle_collapsed"
+    assert row.s_stable is None and row.s_oracle is None
 
 
 def test_compare_json_upper_bound(capsys):

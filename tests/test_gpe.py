@@ -10,10 +10,10 @@ from becstab import (
     Dimension,
     DimensionlessProblem,
     GridSpec,
+    ansatz_energy,
     critical_scan,
     discrete_energy,
     dump_profile,
-    energy_3d,
     gaussian_state,
     measured_width,
     minimize,
@@ -36,6 +36,13 @@ def test_grid_spec_validation():
         GridSpec(Dimension.D3, n_points=32)
     with pytest.raises(ValueError):
         GridSpec(Dimension.D3, r_max=4.0)
+    for r_max in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="r_max"):
+            GridSpec(Dimension.D3, r_max=r_max)
+    for n_points in (64.5, 128.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="n_points"):
+            GridSpec(Dimension.D1, n_points=n_points)
+    assert GridSpec(Dimension.D3, n_points=np.int64(128)).spacing == 8.0 / 127
 
 
 def test_grid_axes():
@@ -93,7 +100,7 @@ def test_sampled_gaussian_noninteracting_1d():
 def test_sampled_gaussian_matches_closed_form_any_width():
     for s, gamma in ((0.7, -0.4), (1.3, 2.0)):
         state = gaussian_state(GridSpec(Dimension.D3, 8.0, 2048), gamma, s=s)
-        exact = energy_3d(s, gamma)
+        exact = ansatz_energy(s, DimensionlessProblem(Dimension.D3, gamma))
         assert state.energy.total == pytest.approx(exact.total, abs=2e-4)
         assert state.energy.interaction == pytest.approx(exact.interaction, rel=1e-5)
 

@@ -1,5 +1,6 @@
 """Sweep rows, CSV emission/parsing, and the qualitative width curves."""
 
+import dataclasses
 import io
 import math
 
@@ -10,12 +11,17 @@ from becstab import (
     ATOMIC_MASS,
     CSV_HEADER,
     Dimension,
+    DimensionlessProblem,
     GridSpec,
     PhysicalSetup,
     SweepRow,
+    comparison_row,
     emit_csv,
+    gaussian_state,
+    measured_width,
     n_max_physical,
     parse_csv,
+    stationary_points,
     sweep,
 )
 
@@ -129,6 +135,27 @@ def test_oracle_collapse_inside_variational_window_is_tagged():
     assert row.regime == "attractive_subcritical_oracle_collapsed"
     assert row.s_stable is not None      # variational branch still exists
     assert row.s_oracle is None and row.e_oracle is None
+
+
+def test_comparison_row_tags_each_oracle_outcome():
+    report = stationary_points(DimensionlessProblem(Dimension.D3, -0.3))
+    plain = comparison_row(42.0, report)
+    assert (plain.n_atoms, plain.gamma, plain.regime) == (42.0, -0.3, "attractive_subcritical")
+    assert plain.s_stable == report.minimum.s and plain.s_unstable == report.maximum.s
+    assert plain.e_var == report.minimum.energy.total
+    assert plain.s_oracle is None and plain.e_oracle is None
+
+    state = gaussian_state(GridSpec(Dimension.D3, 6.0, 128), -0.3, s=0.9)
+    collapsed = dataclasses.replace(state, collapsed=True, residual=1.0)
+    unconverged = dataclasses.replace(state, residual=1.0)
+    converged = dataclasses.replace(state, converged=True, residual=0.0)
+    for outcome, suffix in ((collapsed, "_oracle_collapsed"),
+                            (unconverged, "_oracle_unconverged")):
+        row = comparison_row(42.0, report, outcome)
+        assert row == dataclasses.replace(plain, regime=plain.regime + suffix)
+    row = comparison_row(42.0, report, converged)
+    assert row == dataclasses.replace(plain, s_oracle=measured_width(converged),
+                                      e_oracle=state.energy.total)
 
 
 # --- CSV --------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from becstab import (
     ATOMIC_MASS,
     HBAR,
     Dimension,
+    DimensionlessProblem,
     PhysicalSetup,
     derive_scales,
     n_from_gamma,
@@ -55,6 +56,19 @@ def test_interaction_field_must_match_dimension():
     with pytest.raises(ValueError):
         PhysicalSetup(mass=1e-26, omega=1.0, dimension=Dimension.D1,
                       coupling_1d=1e-40, scattering_length=1e-9)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+def test_dimensionless_problem_rejects_non_finite_coupling(gamma):
+    for dim in (Dimension.D1, Dimension.D3):
+        with pytest.raises(ValueError, match="finite"):
+            DimensionlessProblem(dim, gamma)
+
+
+def test_reduce_rejects_infinite_atom_number():
+    setup = li7_setup(n_atoms=math.inf)    # N >= 0 holds, so the setup itself is accepted
+    with pytest.raises(ValueError, match="finite"):
+        reduce(setup)
 
 
 def test_coupling_3d_definition():

@@ -1,6 +1,7 @@
 """Gaussian-ansatz energies, derivatives, branch structure and critical point."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,16 +12,12 @@ from becstab import (
     S_MIN_3D,
     Dimension,
     DimensionlessProblem,
-    GaussianAnsatz,
     PhysicalSetup,
     PointKind,
     Regime,
     ansatz_energy,
-    critical_3d,
     denergy,
     derive_scales,
-    energy_1d,
-    energy_3d,
     gamma_of_width,
     n_max_physical,
     n_of_sigma,
@@ -46,29 +43,33 @@ def problem(dim: Dimension, gamma: float) -> DimensionlessProblem:
 
 # --- closed-form energies ---------------------------------------------------------
 
+def energy(dim: Dimension, s: float, gamma: float):
+    return ansatz_energy(s, problem(dim, gamma))
+
+
 def test_energy_1d_oscillator_ground_state():
-    assert energy_1d(1.0, 0.0).total == 0.5
+    assert energy(Dimension.D1, 1.0, 0.0).total == 0.5
 
 
 def test_energy_1d_direct_substitution():
-    e = energy_1d(2.0, 0.0)
+    e = energy(Dimension.D1, 2.0, 0.0)
     assert e.kinetic == 1.0 / 16.0
     assert e.potential == 1.0
     assert e.total == 1.0625
 
 
 def test_energy_1d_unit_interaction_term():
-    e = energy_1d(1.0, SQRT_2PI)
+    e = energy(Dimension.D1, 1.0, SQRT_2PI)
     assert e.interaction == pytest.approx(1.0, rel=1e-15)
     assert e.total == pytest.approx(1.5, rel=1e-15)
 
 
 def test_energy_3d_oscillator_ground_state():
-    assert energy_3d(1.0, 0.0).total == 1.5
+    assert energy(Dimension.D3, 1.0, 0.0).total == 1.5
 
 
 def test_energy_3d_unit_interaction_term():
-    e = energy_3d(1.0, SQRT_2PI)
+    e = energy(Dimension.D3, 1.0, SQRT_2PI)
     assert e.total == pytest.approx(2.5, rel=1e-15)
 
 
@@ -77,7 +78,7 @@ def test_energy_breakdown_signs_and_sum():
     for _ in range(100):
         s = rng.uniform(0.05, 5.0)
         gamma = rng.uniform(-3.0, 3.0)
-        for e in (energy_1d(s, gamma), energy_3d(s, gamma)):
+        for e in (energy(Dimension.D1, s, gamma), energy(Dimension.D3, s, gamma)):
             assert e.kinetic > 0.0
             assert e.potential > 0.0
             assert math.copysign(1.0, e.interaction) == math.copysign(1.0, gamma) or gamma == 0.0
@@ -85,26 +86,26 @@ def test_energy_breakdown_signs_and_sum():
 
 
 def test_energy_rejects_nonpositive_width():
-    for fn in (energy_1d, energy_3d):
+    for dim in (Dimension.D1, Dimension.D3):
         with pytest.raises(ValueError):
-            fn(0.0, 1.0)
+            energy(dim, 0.0, 1.0)
         with pytest.raises(ValueError):
-            fn(-1.0, 1.0)
+            energy(dim, -1.0, 1.0)
     with pytest.raises(ValueError):
         denergy(0.0, problem(Dimension.D3, 1.0))
     with pytest.raises(ValueError):
-        GaussianAnsatz(-0.5, problem(Dimension.D3, 0.0))
+        ansatz_energy(-0.5, problem(Dimension.D3, 0.0))
 
 
 def test_gaussian_ansatz_dispatches_by_dimension():
-    assert GaussianAnsatz(1.0, problem(Dimension.D3, 0.0)).energy().total == 1.5
-    assert GaussianAnsatz(1.0, problem(Dimension.D1, 0.0)).energy().total == 0.5
+    assert ansatz_energy(1.0, problem(Dimension.D3, 0.0)).total == 1.5
+    assert ansatz_energy(1.0, problem(Dimension.D1, 0.0)).total == 0.5
     assert ansatz_energy(2.0, problem(Dimension.D1, 0.0)).total == 1.0625
 
 
 def test_total_energy_si_accessor():
     setup = LI7.with_n(1000.0)
-    e = energy_3d(1.0, 0.0)
+    e = energy(Dimension.D3, 1.0, 0.0)
     expected = 1000.0 * derive_scales(setup).energy_hw * 1.5
     assert total_energy_si(e, setup) == pytest.approx(expected, rel=1e-15)
 
@@ -125,7 +126,7 @@ def test_denergy_rejects_bad_order():
 
 def test_denergy_noninteracting_3d():
     assert denergy(1.0, problem(Dimension.D3, 0.0), 1) == 0.0
-    fd = central_difference(lambda s: energy_3d(s, 0.0).total, 1.0, order=2)
+    fd = central_difference(lambda s: energy(Dimension.D3, s, 0.0).total, 1.0, order=2)
     d2 = denergy(1.0, problem(Dimension.D3, 0.0), 2)
     assert d2 == pytest.approx(6.0, rel=1e-12)
     assert d2 == pytest.approx(fd, rel=1e-8)
@@ -133,7 +134,7 @@ def test_denergy_noninteracting_3d():
 
 def test_denergy_matches_finite_difference_spot():
     p = problem(Dimension.D3, -0.3)
-    fd = central_difference(lambda s: energy_3d(s, -0.3).total, 0.5, order=1)
+    fd = central_difference(lambda s: energy(Dimension.D3, s, -0.3).total, 0.5, order=1)
     assert denergy(0.5, p, 1) == pytest.approx(fd, rel=1e-8)
 
 
@@ -356,19 +357,42 @@ def test_extreme_couplings_still_bracketed():
     assert len(tiny.points) == 2
 
 
+def slope_terms(dim: Dimension, gamma: float, s: float) -> tuple[float, float, float]:
+    """Kinetic, trap and interaction terms of de/ds, written out independently."""
+    if dim is Dimension.D3:
+        return -1.5 / s**3, 1.5 * s, -3.0 * gamma / (SQRT_2PI * s**4)
+    return -0.5 / s**3, 0.5 * s, -gamma / (SQRT_2PI * s * s)
+
+
+def test_residual_meets_the_stated_contract():
+    # Where the absolute 1e-10 cannot hold: the 3D barrier width at small
+    # |Gamma| (residual ~5e-4 at Gamma = -1e-4) and 1D at large |Gamma|
+    # (~64 at Gamma = -1e6).  The bound is the one stated on StationaryPoint.
+    small = np.geomspace(1e-6, 0.02, 300)
+    cases = [(Dimension.D3, -g) for g in [*small, 1e-4]]
+    cases += [(Dimension.D1, sign * g) for sign in (1.0, -1.0)
+              for g in [*np.geomspace(1e-6, 1e6, 200), 1e6]]
+    for dim, gamma in cases:
+        report = stationary_points(problem(dim, float(gamma)))
+        assert report.points
+        for point in report.points:
+            terms = slope_terms(dim, gamma, point.s)
+            bound = max(1e-10, 4.0 * sys.float_info.epsilon * sum(abs(t) for t in terms))
+            assert point.residual <= bound, (dim, gamma, point.s, point.residual, bound)
+            assert abs(sum(terms)) <= bound, (dim, gamma, point.s, bound)
+
+
 # --- critical point -------------------------------------------------------------------
 
 def test_critical_width_closed_form():
-    crit = critical_3d()
-    assert crit.s_min == 5.0 ** -0.25
-    assert crit.s_min == pytest.approx(0.668740304976422, abs=1e-15)
+    assert S_MIN_3D == 5.0 ** -0.25
+    assert S_MIN_3D == pytest.approx(0.668740304976422, abs=1e-15)
 
 
 def test_critical_coupling_against_double_root_search():
     gamma_merge, s_merge = locate_double_root(merge_tol=1e-6)
-    crit = critical_3d()
-    assert abs(-gamma_merge - crit.gamma_critical) < 5e-6
-    assert s_merge == pytest.approx(crit.s_min, abs=1e-4)
+    assert abs(-gamma_merge - GAMMA_CRITICAL_3D) < 5e-6
+    assert s_merge == pytest.approx(S_MIN_3D, abs=1e-4)
 
 
 def test_near_critical_regimes():
@@ -399,7 +423,6 @@ def test_n_max_paths_agree():
     assert critical.n_direct == pytest.approx(critical.n_via_gamma, rel=1e-10)
     assert critical.n_direct == pytest.approx(1602.2401356152297, rel=1e-12)
     assert critical.n_floor == 1602
-    assert critical.n_max == critical.n_direct
 
 
 def test_n_max_li7_order_of_magnitude():
