@@ -29,9 +29,10 @@ from typing import IO, Optional, Sequence, Union
 import numpy as np
 
 from . import gpe
-from .sweep import comparison_row, emit_csv
+from .sweep import comparison_row, dump_profile, emit_csv
 from .sweep import sweep as run_sweep
 from .units import (
+    CONFIG_KEYS,
     Dimension,
     DimensionlessProblem,
     PhysicalSetup,
@@ -71,11 +72,13 @@ class _Parser(argparse.ArgumentParser):
 def _add_setup_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("setup")
     group.add_argument("--config", type=str, help="key=value config file, overridden by flags")
+    # --mass-amu to --n-atoms store under their config keys (units.CONFIG_KEYS).
     group.add_argument("--mass-amu", type=float, help="atom mass in atomic mass units")
     group.add_argument("--freq-hz", type=float, help="trap frequency omega/(2 pi) in Hz")
-    group.add_argument("--scattering-a", type=float,
+    group.add_argument("--scattering-a", type=float, dest="scattering_a_m",
                        help="s-wave scattering length in meters (3D)")
-    group.add_argument("--coupling-1d", type=float, help="contact coupling in J*m (1D)")
+    group.add_argument("--coupling-1d", type=float, dest="coupling_1d_jm",
+                       help="contact coupling in J*m (1D)")
     group.add_argument("--dim", type=int, choices=(1, 3), help="spatial dimension")
     group.add_argument("--n-atoms", type=float, help="atom number")
     group.add_argument("--gamma", type=float,
@@ -142,16 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 # --- setup assembly ------------------------------------------------------------
 
-_FLAG_TO_KEY = {
-    "mass_amu": "mass_amu",
-    "freq_hz": "freq_hz",
-    "scattering_a": "scattering_a_m",
-    "coupling_1d": "coupling_1d_jm",
-    "dim": "dim",
-    "n_atoms": "n_atoms",
-}
-
-
 def _setup_entries(args: argparse.Namespace) -> dict[str, object]:
     entries: dict[str, object] = {}
     if args.config is not None:
@@ -159,8 +152,8 @@ def _setup_entries(args: argparse.Namespace) -> dict[str, object]:
         if not path.exists():
             raise _UsageError(f"config file not found: {path}")
         entries.update(parse_config(path.read_text()))
-    for flag, key in _FLAG_TO_KEY.items():
-        value = getattr(args, flag)
+    for key in CONFIG_KEYS:
+        value = getattr(args, key)
         if value is not None:
             entries[key] = value
     return entries
@@ -173,17 +166,19 @@ def _build_setup(args: argparse.Namespace, need_n: bool = False) -> PhysicalSetu
     return setup_from_mapping(entries)
 
 
-def _build_problem(args: argparse.Namespace) -> DimensionlessProblem:
-    """Dimensionless problem from --gamma/--dim, or reduced from the SI setup."""
+def _build_problem(args: argparse.Namespace) -> tuple[DimensionlessProblem, float]:
+    """(problem, atom number) from --gamma/--dim, with N = NaN, or from the SI setup."""
     if args.gamma is not None:
-        for flag in ("scattering_a", "coupling_1d", "n_atoms"):
-            if getattr(args, flag) is not None:
-                raise _UsageError(f"--gamma conflicts with --{flag.replace('_', '-')}")
+        for key, flag in (("scattering_a_m", "--scattering-a"),
+                          ("coupling_1d_jm", "--coupling-1d"), ("n_atoms", "--n-atoms")):
+            if getattr(args, key) is not None:
+                raise _UsageError(f"--gamma conflicts with {flag}")
         if args.dim is None:
             raise _UsageError("--gamma needs --dim")
         dimension = Dimension.D1 if args.dim == 1 else Dimension.D3
-        return DimensionlessProblem(dimension=dimension, gamma_total=args.gamma)
-    return reduce(_build_setup(args, need_n=True))
+        return DimensionlessProblem(dimension=dimension, gamma_total=args.gamma), math.nan
+    setup = _build_setup(args, need_n=True)
+    return reduce(setup), setup.n_atoms
 
 
 def _open_sink(arg: str) -> Union[IO[str], str]:
@@ -198,39 +193,26 @@ def _print_json(payload: dict) -> None:
 
 def _cmd_critical(args: argparse.Namespace) -> int:
     setup = _build_setup(args)
-    scales = derive_scales(setup)
-    if setup.dimension is Dimension.D1:
-        # Attractive 1D clouds shrink forever but never destabilise.
-        payload = {
-            "s_min": 0.0,
-            "gamma_crit": None,
-            "n_max_real": None,
-            "n_max_floor": None,
-            "path_direct": None,
-            "path_dimensionless": None,
-        }
-        if args.json:
-            _print_json(payload)
-        else:
-            print("dimension:            1")
-            print("sigma_min:            0 (width shrinks to zero as N grows)")
-            print("N_max:                unbounded (1D clouds are stable at every N)")
-        return 0
-
     critical = n_max_physical(setup)
-    sigma_min_m = S_MIN_3D * scales.length_aho
+    three_d = setup.dimension is Dimension.D3
     if args.json:
-        payload = {
-            "s_min": S_MIN_3D,
-            "gamma_crit": GAMMA_CRITICAL_3D,
+        # Attractive 1D clouds shrink forever but never destabilise.
+        _print_json({
+            "s_min": S_MIN_3D if three_d else 0.0,
+            "gamma_crit": GAMMA_CRITICAL_3D if three_d else None,
             "n_max_real": critical.n_direct if critical.bounded else None,
             "n_max_floor": critical.n_floor,
             "path_direct": critical.n_direct if critical.bounded else None,
             "path_dimensionless": critical.n_via_gamma if critical.bounded else None,
-        }
-        _print_json(payload)
+        })
+        return 0
+    if not three_d:
+        print("dimension:            1")
+        print("sigma_min:            0 (width shrinks to zero as N grows)")
+        print("N_max:                unbounded (1D clouds are stable at every N)")
         return 0
 
+    sigma_min_m = S_MIN_3D * derive_scales(setup).length_aho
     print("dimension:            3")
     print(f"s_min (sigma/a_ho):   {S_MIN_3D!r}")
     print(f"sigma_min:            {sigma_min_m!r} m")
@@ -267,7 +249,7 @@ def _report_payload(report: StabilityReport) -> dict:
 
 
 def _cmd_minimize(args: argparse.Namespace) -> int:
-    problem = _build_problem(args)
+    problem, _ = _build_problem(args)
     report = stationary_points(problem)
     if args.json:
         _print_json(_report_payload(report))
@@ -329,7 +311,7 @@ def _unconverged_message(state: gpe.GridState, max_iter: int) -> str:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    problem = _build_problem(args)
+    problem, _ = _build_problem(args)
     spec = gpe.GridSpec(problem.dimension, args.r_max, args.n_points)
     state = gpe.minimize(spec, problem.gamma_total, max_iter=args.max_iter)
     payload = {
@@ -356,19 +338,17 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         if payload["width"] is not None:
             print(f"width s_eff: {payload['width']!r}")
     if args.csv is not None and state.converged:
-        gpe.dump_profile(state, _open_sink(args.csv))
+        dump_profile(state, _open_sink(args.csv))
     if not state.converged and not state.collapsed:
         raise _ComputeError(_unconverged_message(state, args.max_iter))
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    problem = _build_problem(args)
+    problem, n_atoms = _build_problem(args)
     report = stationary_points(problem)
     spec = gpe.GridSpec(problem.dimension, args.r_max, args.n_points)
     state = gpe.minimize(spec, problem.gamma_total, max_iter=args.max_iter)
-    # --gamma excludes --n-atoms, so a bare coupling gets NaN here.
-    n_atoms = math.nan if args.n_atoms is None else float(args.n_atoms)
     row = comparison_row(n_atoms, report, state)
     if args.json:
         _print_json({

@@ -54,8 +54,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
-from typing import Callable, IO, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -127,8 +126,6 @@ class _Discretisation:
     """Precomputed arrays and the energy, residual and line-search kernels for one (spec, gamma)."""
 
     def __init__(self, spec: GridSpec, gamma: float):
-        self.spec = spec
-        self.gamma = gamma
         self.h = spec.spacing
         axis = spec.axis()
         self.axis = axis
@@ -166,6 +163,13 @@ class _Discretisation:
 
     def norm(self, values: np.ndarray) -> float:
         return self.weight * self.h * float(np.dot(values, values))
+
+    def normalised_breakdown(self, values: np.ndarray) -> EnergyBreakdown:
+        """Energy of ``values``, which must already be normalised (within 1e-9)."""
+        norm = self.norm(values)
+        if abs(norm - 1.0) > _NORM_TOL:
+            raise ValueError(f"state is not normalised: integral of |phi|^2 = {norm!r}")
+        return self.breakdown(values)
 
     def breakdown(self, values: np.ndarray) -> EnergyBreakdown:
         bond = np.diff(values)
@@ -214,11 +218,16 @@ class _Discretisation:
         out[1:-1] = _dst1(self.inverse_spectrum * _dst1(values[1:-1]))
         return out
 
-    def width_from_potential(self, potential: float) -> float:
-        # <r^2> (or <x^2>) equals twice the trap term of the breakdown.
-        if self.spec.dimension is Dimension.D3:
-            return math.sqrt(4.0 * potential / 3.0)
-        return 2.0 * math.sqrt(potential)
+
+def _width(energy: EnergyBreakdown, dimension: Dimension) -> float:
+    """sqrt(2 <r^2> / 3) in 3D, sqrt(2 <x^2>) in 1D: sigma/a_ho for a Gaussian.
+
+    <r^2> (or <x^2>) is twice the trap term of the energy breakdown.
+    """
+    mean_sq = 2.0 * energy.potential
+    if dimension is Dimension.D3:
+        return math.sqrt(2.0 * mean_sq / 3.0)
+    return math.sqrt(2.0 * mean_sq)
 
 
 def _dst1(values: np.ndarray) -> np.ndarray:
@@ -232,10 +241,9 @@ def sample_gaussian(spec: GridSpec, s: float = 1.0) -> np.ndarray:
     if not s > 0.0:
         raise ValueError(f"width must be positive, got {s}")
     axis = spec.axis()
+    raw = np.exp(-(axis * axis) / (2.0 * s * s))
     if spec.dimension is Dimension.D3:
-        raw = axis * np.exp(-(axis * axis) / (2.0 * s * s))
-    else:
-        raw = np.exp(-(axis * axis) / (2.0 * s * s))
+        raw = axis * raw     # u = r * phi
     return _Discretisation(spec, 0.0).normalized(raw)
 
 
@@ -252,16 +260,8 @@ def state_from_values(spec: GridSpec, gamma: float, values: np.ndarray) -> GridS
         raise ValueError(f"expected {expected} samples for this grid, got {arr.shape}")
     arr[0] = 0.0
     arr[-1] = 0.0
-    disc = _Discretisation(spec, gamma)
-    norm = disc.norm(arr)
-    if abs(norm - 1.0) > _NORM_TOL:
-        raise ValueError(f"state is not normalised: integral of |phi|^2 = {norm!r}")
-    return GridState(
-        values=arr,
-        spec=spec,
-        gamma_total=gamma,
-        energy=disc.breakdown(arr),
-    )
+    energy = _Discretisation(spec, gamma).normalised_breakdown(arr)
+    return GridState(values=arr, spec=spec, gamma_total=gamma, energy=energy)
 
 
 def gaussian_state(spec: GridSpec, gamma: float, s: float = 1.0) -> GridState:
@@ -271,11 +271,7 @@ def gaussian_state(spec: GridSpec, gamma: float, s: float = 1.0) -> GridState:
 
 def discrete_energy(state: GridState) -> EnergyBreakdown:
     """Trapezoidal energy of a normalised state; rejects unnormalised input."""
-    disc = _Discretisation(state.spec, state.gamma_total)
-    norm = disc.norm(state.values)
-    if abs(norm - 1.0) > _NORM_TOL:
-        raise ValueError(f"state is not normalised: integral of |phi|^2 = {norm!r}")
-    return disc.breakdown(state.values)
+    return _Discretisation(state.spec, state.gamma_total).normalised_breakdown(state.values)
 
 
 def minimize(
@@ -363,10 +359,7 @@ def minimize(
             view = values.view()
             view.flags.writeable = False
             on_accept(energy.total, view)
-        collapsed = (
-            energy.total < _COLLAPSE_ENERGY
-            or disc.width_from_potential(energy.potential) < width_floor
-        )
+        collapsed = energy.total < _COLLAPSE_ENERGY or _width(energy, spec.dimension) < width_floor
 
     return GridState(
         values=values,
@@ -425,11 +418,7 @@ def measured_width(state: GridState) -> float:
     if state.residual is not None and not state.converged:
         raise ValueError("unconverged minimizer state; width would be untrustworthy")
     disc = _Discretisation(state.spec, state.gamma_total)
-    density = state.values * state.values
-    mean_sq = disc.weight * disc.h * float(np.dot(disc.sq, density))
-    if state.spec.dimension is Dimension.D3:
-        return math.sqrt(2.0 * mean_sq / 3.0)
-    return math.sqrt(2.0 * mean_sq)
+    return _width(disc.breakdown(state.values), state.spec.dimension)
 
 
 def critical_scan(spec: GridSpec, bracket: tuple[float, float]) -> float:
@@ -463,26 +452,3 @@ def critical_scan(spec: GridSpec, bracket: tuple[float, float]) -> float:
             gamma_hi = mid
             warm = probe
     return 0.5 * (gamma_lo + gamma_hi)
-
-
-def dump_profile(state: GridState, destination: Union[str, Path, IO[str]]) -> None:
-    """Write the density profile |phi|^2 as two-column CSV (coordinate, density)."""
-    axis = state.spec.axis()
-    values = state.values
-    if state.spec.dimension is Dimension.D3:
-        header = "r,density"
-        density = np.empty_like(values)
-        density[1:] = (values[1:] / axis[1:]) ** 2
-        # phi(0) = u'(0); one-sided first-order estimate from the pinned origin.
-        density[0] = (values[1] / state.spec.spacing) ** 2
-    else:
-        header = "x,density"
-        density = values * values
-
-    lines = [header]
-    lines.extend(f"{repr(float(c))},{repr(float(d))}" for c, d in zip(axis, density))
-    text = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)  # type: ignore[union-attr]
-    else:
-        Path(destination).write_text(text)  # type: ignore[arg-type]

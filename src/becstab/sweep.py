@@ -1,24 +1,27 @@
-"""Batch evaluation over atom-number ranges, with CSV emit/parse.
+"""Batch evaluation over atom-number ranges, and the package's CSV files.
 
-Each row records, for one atom number, the coupling, the variational
+Each sweep row records, for one atom number, the coupling, the variational
 stable/unstable widths and minimum energy, and (optionally) the grid
 minimizer's width and energy for direct comparison.  Optional columns
 serialise as empty CSV fields; floats are written in shortest round-trip
 decimal form, so emitting and re-parsing is lossless and byte-deterministic.
+Grid density profiles (:func:`dump_profile`) are written the same way.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
-from typing import IO, Optional, Sequence, Union
+from typing import IO, Iterable, Optional, Sequence, Union
+
+import numpy as np
 
 from . import gpe
-from .units import PhysicalSetup, reduce
+from .units import Dimension, PhysicalSetup, reduce
 from .variational import StabilityReport, stationary_points
 
-CSV_HEADER = "n_atoms,gamma,s_stable,s_unstable,e_var,s_oracle,e_oracle,regime"
 _REGIME_TAG = re.compile(r"^[a-z_]+$")
 
 
@@ -34,6 +37,12 @@ class SweepRow:
     s_oracle: Optional[float]
     e_oracle: Optional[float]
     regime: str
+
+
+# The column order is SweepRow's field order; every column but the last is numeric.
+_COLUMNS = tuple(field.name for field in fields(SweepRow))
+CSV_HEADER = ",".join(_COLUMNS)
+_numbers = attrgetter(*_COLUMNS[:-1])
 
 
 def comparison_row(
@@ -107,6 +116,15 @@ def _format_field(value: Optional[float]) -> str:
     return "" if value is None else repr(float(value))
 
 
+def _write_lines(lines: Iterable[str], destination: Union[str, Path, IO[str]]) -> None:
+    """Join lines with LF, end with one LF, and write to a text stream or a path."""
+    text = "\n".join(lines) + "\n"
+    if hasattr(destination, "write"):
+        destination.write(text)  # type: ignore[union-attr]
+    else:
+        Path(destination).write_text(text)  # type: ignore[arg-type]
+
+
 def emit_csv(rows: Sequence[SweepRow], destination: Union[str, Path, IO[str]]) -> None:
     """Write rows as CSV (LF newlines, comma separator, no quoting).
 
@@ -116,25 +134,8 @@ def emit_csv(rows: Sequence[SweepRow], destination: Union[str, Path, IO[str]]) -
     for row in rows:
         if not _REGIME_TAG.match(row.regime):
             raise ValueError(f"regime tag must match [a-z_]+, got {row.regime!r}")
-        lines.append(
-            ",".join(
-                (
-                    _format_field(row.n_atoms),
-                    _format_field(row.gamma),
-                    _format_field(row.s_stable),
-                    _format_field(row.s_unstable),
-                    _format_field(row.e_var),
-                    _format_field(row.s_oracle),
-                    _format_field(row.e_oracle),
-                    row.regime,
-                )
-            )
-        )
-    text = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)  # type: ignore[union-attr]
-    else:
-        Path(destination).write_text(text)  # type: ignore[arg-type]
+        lines.append(",".join(map(_format_field, _numbers(row))) + "," + row.regime)
+    _write_lines(lines, destination)
 
 
 def parse_csv(text: str) -> list[SweepRow]:
@@ -144,22 +145,28 @@ def parse_csv(text: str) -> list[SweepRow]:
         raise ValueError(f"bad or missing header; expected {CSV_HEADER!r}")
     rows: list[SweepRow] = []
     for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 8:
-            raise ValueError(f"line {lineno}: expected 8 fields, got {len(fields)}")
-        numbers = [None if f == "" else float(f) for f in fields[:7]]
+        values = line.split(",")
+        if len(values) != len(_COLUMNS):
+            raise ValueError(f"line {lineno}: expected {len(_COLUMNS)} fields, got {len(values)}")
+        numbers = [None if f == "" else float(f) for f in values[:-1]]
         if numbers[0] is None or numbers[1] is None:
             raise ValueError(f"line {lineno}: n_atoms and gamma are required")
-        rows.append(
-            SweepRow(
-                n_atoms=numbers[0],
-                gamma=numbers[1],
-                s_stable=numbers[2],
-                s_unstable=numbers[3],
-                e_var=numbers[4],
-                s_oracle=numbers[5],
-                e_oracle=numbers[6],
-                regime=fields[7],
-            )
-        )
+        rows.append(SweepRow(*numbers, values[-1]))  # type: ignore[arg-type]
     return rows
+
+
+def dump_profile(state: gpe.GridState, destination: Union[str, Path, IO[str]]) -> None:
+    """Write the density profile |phi|^2 as two-column CSV (coordinate, density)."""
+    axis = state.spec.axis()
+    values = state.values
+    if state.spec.dimension is Dimension.D3:
+        header = "r,density"
+        density = np.empty_like(values)
+        density[1:] = (values[1:] / axis[1:]) ** 2
+        # phi(0) = u'(0); one-sided first-order estimate from the pinned origin.
+        density[0] = (values[1] / state.spec.spacing) ** 2
+    else:
+        header = "x,density"
+        density = values * values
+    rows = (f"{_format_field(c)},{_format_field(d)}" for c, d in zip(axis, density))
+    _write_lines([header, *rows], destination)

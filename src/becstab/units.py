@@ -51,6 +51,10 @@ class PhysicalSetup:
     coupling_1d: float | None = None         # B [J*m], 1D only
 
     def __post_init__(self) -> None:
+        for name in ("mass", "omega", "scattering_length", "coupling_1d"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.mass > 0.0:
             raise ValueError(f"mass must be positive, got {self.mass}")
         if not self.omega > 0.0:
@@ -132,29 +136,22 @@ def reduce(setup: PhysicalSetup) -> DimensionlessProblem:
 def n_from_gamma(gamma: float, setup: PhysicalSetup) -> float:
     """Atom number that would produce coupling ``gamma`` in ``setup``'s trap.
 
-    Inverse of :func:`reduce` (the ``n_atoms`` of ``setup`` is ignored).
-    The interaction parameter must be nonzero and of the same sign as
-    ``gamma``, otherwise no non-negative N exists; ``gamma`` = 0 is rejected
-    as degenerate.
+    Inverse of :func:`reduce`: ``gamma`` divided by the coupling of one atom
+    (the ``n_atoms`` of ``setup`` is ignored).  The interaction must be
+    nonzero and of the same sign as ``gamma``, otherwise no non-negative N
+    exists; ``gamma`` = 0 is rejected as degenerate.
     """
-    if setup.dimension is Dimension.D3:
-        strength = setup.scattering_length
-    else:
-        strength = setup.coupling_1d
-    assert strength is not None
-    if strength == 0.0:
+    per_atom = reduce(setup.with_n(1.0)).gamma_total
+    if per_atom == 0.0:
         raise ValueError("zero interaction: atom number is undefined for any gamma")
     if gamma == 0.0:
         raise ValueError("gamma = 0 is degenerate: any trap gives gamma = 0 at N = 0")
-    if (gamma > 0.0) != (strength > 0.0):
+    if (gamma > 0.0) != (per_atom > 0.0):
         raise ValueError(
             f"sign mismatch: gamma={gamma} needs an interaction of the same sign, "
-            f"got {strength}"
+            f"got {per_atom} per atom"
         )
-    scales = derive_scales(setup)
-    if setup.dimension is Dimension.D3:
-        return gamma * scales.length_aho / strength
-    return gamma * scales.length_aho * scales.energy_hw / strength
+    return gamma / per_atom
 
 
 # --- key=value config surface ------------------------------------------------

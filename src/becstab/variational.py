@@ -13,7 +13,8 @@ Stationary widths solve de/ds = 0; a positive second derivative marks a
 maximum (a barrier against collapse) until |Gamma| reaches the critical
 coupling GAMMA_CRITICAL_3D, where both merge at width S_MIN_3D and the cloud
 becomes unstable against collapse.  In 1D there is a single stable width for
-every coupling, so no critical atom number exists.
+every coupling, so no critical atom number exists.  An attractive 3D coupling
+weaker than about 1.6e-61 is rejected: its barrier width is below float64 range.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .units import (
     PhysicalSetup,
     derive_scales,
     n_from_gamma,
+    reduce,
 )
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -199,22 +201,19 @@ def gamma_of_width(s: float, dimension: Dimension) -> float:
 def n_of_sigma(sigma: float, setup: PhysicalSetup) -> float:
     """Atom number whose energy is stationary at dimensional width ``sigma`` [m].
 
-    1D:  N = sqrt(2 pi)/B  [ (m w^2/2) sigma^3 - (hbar^2/2m) / sigma ]
-    3D:  N = (2 pi)^{3/2}/B [ (m w^2/2) sigma^5 - (hbar^2/2m) sigma ]
-
-    May be negative, meaning no physical atom number makes ``sigma``
-    stationary.  sigma = a_ho always gives N = 0.
+    ``gamma_of_width(sigma / a_ho)`` divided by the coupling of one atom, so
+    it equals :func:`~becstab.units.n_from_gamma` of that coupling wherever
+    that is defined.  Unlike it, this may return 0 (sigma = a_ho) or a
+    negative number, meaning no physical atom number makes ``sigma``
+    stationary.
     """
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    coupling = setup.coupling
-    if coupling == 0.0:
+    per_atom = reduce(setup.with_n(1.0)).gamma_total
+    if per_atom == 0.0:
         raise ValueError("zero interaction: every width is stationary only at N=0")
-    half_trap = setup.mass * setup.omega**2 / 2.0
-    half_kin = HBAR**2 / (2.0 * setup.mass)
-    if setup.dimension is Dimension.D3:
-        return (2.0 * math.pi) ** 1.5 / coupling * (half_trap * sigma**5 - half_kin * sigma)
-    return SQRT_2PI / coupling * (half_trap * sigma**3 - half_kin / sigma)
+    s = sigma / derive_scales(setup).length_aho
+    return gamma_of_width(s, setup.dimension) / per_atom
 
 
 def n_max_physical(setup: PhysicalSetup) -> CriticalNumber:
@@ -227,13 +226,9 @@ def n_max_physical(setup: PhysicalSetup) -> CriticalNumber:
     and through the dimensionless route N(Gamma = -GAMMA_CRITICAL_3D).
     Repulsive or 1D setups are stable at every atom number (unbounded).
     """
-    if setup.dimension is Dimension.D1:
-        return CriticalNumber(bounded=False, n_direct=math.inf, n_via_gamma=math.inf)
-    assert setup.scattering_length is not None
-    if setup.scattering_length >= 0.0:
-        return CriticalNumber(bounded=False, n_direct=math.inf, n_via_gamma=math.inf)
-
     b_tilde = -setup.coupling     # positive for attractive interactions
+    if setup.dimension is Dimension.D1 or not b_tilde > 0.0:
+        return CriticalNumber(bounded=False, n_direct=math.inf, n_via_gamma=math.inf)
     aho = derive_scales(setup).length_aho
     n_direct = (
         4.0 / 5.0**1.25
@@ -263,12 +258,19 @@ def _scan_grid(problem: DimensionlessProblem) -> np.ndarray:
       the scan window; 1/(2|c|) is always on its negative side.
     * A point beyond the Cauchy root bound 1 + max(1, |c|) is always past
       the largest root.
+
+    An attractive 3D coupling so weak that |c|/2, raised to the fifth power
+    inside :func:`denergy`, leaves the normal float64 range (|Gamma| below
+    about 1.6e-61) is rejected: its barrier width cannot be resolved.
     """
     grid = np.geomspace(_SCAN_LO, _SCAN_HI, _SCAN_POINTS)
     gamma = problem.gamma_total
     c = 2.0 * gamma / SQRT_2PI
     probes = [1.0 + max(1.0, abs(c)) + 1.0]
     if problem.dimension is Dimension.D3 and gamma < 0.0:
+        if (abs(c) / 2.0) ** 5 < np.finfo(float).tiny:
+            raise ValueError(f"attractive 3D coupling {gamma!r} is too weak: its barrier "
+                             f"width ~{abs(c)!r} is below the float64 range of de/ds")
         probes.append(S_MIN_3D)
         probes.append(abs(c) / 2.0)
     if problem.dimension is Dimension.D1 and gamma < 0.0:
@@ -278,8 +280,13 @@ def _scan_grid(problem: DimensionlessProblem) -> np.ndarray:
 
 
 def _bisect(f, lo: float, hi: float, f_lo: float) -> float:
-    """Bisection of a bracketed sign change down to width _BISECT_WIDTH."""
-    while hi - lo > _BISECT_WIDTH:
+    """Bisection of a bracketed sign change down to width _BISECT_WIDTH.
+
+    Below the scan window the width shrinks in proportion to ``lo``, so that
+    roots far smaller than _BISECT_WIDTH are still resolved.
+    """
+    width = _BISECT_WIDTH * min(1.0, lo / _SCAN_LO)
+    while hi - lo > width:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:     # interval at floating resolution
             break

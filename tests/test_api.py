@@ -21,3 +21,8 @@ def test_folded_wrappers_are_gone():
         assert not hasattr(becstab, name)
         assert not hasattr(variational, name)
     assert not hasattr(CriticalNumber, "n_max")
+
+
+def test_dump_profile_lives_with_the_other_csv_writer():
+    assert becstab.dump_profile is sys.modules["becstab.sweep"].dump_profile
+    assert not hasattr(sys.modules["becstab.gpe"], "dump_profile")

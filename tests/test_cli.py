@@ -139,6 +139,10 @@ def test_bad_grid_flags(capsys):
     ["minimize", *LI7_FLAGS, "--n-atoms", "inf"],
     ["oracle", "--dim", "3", "--gamma", "0", "--r-max", "inf"],
     ["oracle", "--dim", "3", "--gamma", "0", "--r-max", "nan"],
+    ["critical", "--mass-amu", "7.016", "--freq-hz", "inf",
+     "--scattering-a", "-1.45e-9", "--dim", "3"],
+    ["minimize", "--mass-amu", "inf", "--freq-hz", "120",
+     "--scattering-a", "-1.45e-9", "--dim", "3", "--n-atoms", "10"],
 ])
 def test_non_finite_input_is_validation_error(argv, capsys):
     assert run(argv) == 1
@@ -280,6 +284,18 @@ def test_compare_runs_the_oracle_without_a_minimum(capsys):
     row = parse_csv(capsys.readouterr().out)[0]
     assert row.regime == "attractive_collapsed_oracle_collapsed"
     assert row.s_stable is None and row.s_oracle is None
+
+
+def test_compare_takes_the_atom_number_from_the_config(tmp_path, capsys):
+    cfg = tmp_path / "li7.cfg"
+    cfg.write_text(
+        "mass_amu = 7.016\nfreq_hz = 120\nscattering_a_m = -1.45e-9\ndim = 3\nn_atoms = 300\n"
+    )
+    assert run(["compare", "--config", str(cfg), "--n-points", "128",
+                "--r-max", "6", "--csv", "-"]) == 0
+    row = parse_csv(capsys.readouterr().out)[0]
+    assert row.n_atoms == 300.0
+    assert row.regime == "attractive_subcritical"
 
 
 def test_compare_json_upper_bound(capsys):

@@ -164,6 +164,8 @@ def test_emit_header_only_for_empty_rows():
     sink = io.StringIO()
     emit_csv([], sink)
     assert sink.getvalue() == CSV_HEADER + "\n"
+    # the column order is SweepRow's field order; pin it literally
+    assert CSV_HEADER == "n_atoms,gamma,s_stable,s_unstable,e_var,s_oracle,e_oracle,regime"
 
 
 def test_emit_noninteracting_row_fields():

@@ -58,6 +58,17 @@ def test_interaction_field_must_match_dimension():
                       coupling_1d=1e-40, scattering_length=1e-9)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["mass", "omega", "scattering_length", "coupling_1d"])
+def test_rejects_non_finite_setup_fields(field, value):
+    dimension = Dimension.D1 if field == "coupling_1d" else Dimension.D3
+    kwargs = dict(mass=LI7_MASS, omega=OMEGA_120, dimension=dimension)
+    kwargs["coupling_1d" if dimension is Dimension.D1 else "scattering_length"] = -1e-9
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        PhysicalSetup(**kwargs)
+
+
 @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
 def test_dimensionless_problem_rejects_non_finite_coupling(gamma):
     for dim in (Dimension.D1, Dimension.D3):

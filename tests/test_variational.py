@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from becstab import (
     ATOMIC_MASS,
@@ -19,6 +21,7 @@ from becstab import (
     denergy,
     derive_scales,
     gamma_of_width,
+    n_from_gamma,
     n_max_physical,
     n_of_sigma,
     reduce,
@@ -208,6 +211,27 @@ def test_gamma_of_width_consistency():
             gamma, rel=1e-10)
 
 
+def test_n_of_sigma_is_n_from_gamma_of_gamma_of_width():
+    rng = np.random.default_rng(11)
+    defined = 0
+    for dim, field in ((Dimension.D3, "scattering_length"), (Dimension.D1, "coupling_1d")):
+        for strength in (-1.45e-9, 5.3e-9) if dim is Dimension.D3 else (-4.5e-40, 4.5e-40):
+            setup = PhysicalSetup(mass=LI7.mass, omega=LI7.omega, dimension=dim,
+                                  **{field: strength})
+            aho = derive_scales(setup).length_aho
+            for s in [1.0, *rng.uniform(0.05, 4.0, 50)]:
+                sigma = float(s) * aho
+                try:
+                    expected = n_from_gamma(gamma_of_width(sigma / aho, dim), setup)
+                except ValueError:
+                    # undefined there: no non-negative N makes sigma stationary
+                    assert n_of_sigma(sigma, setup) <= 0.0
+                    continue
+                defined += 1
+                assert n_of_sigma(sigma, setup) == pytest.approx(expected, rel=1e-12)
+    assert defined > 50
+
+
 # --- stationary_points ---------------------------------------------------------------
 
 def test_noninteracting_point_is_exact():
@@ -380,6 +404,51 @@ def test_residual_meets_the_stated_contract():
             bound = max(1e-10, 4.0 * sys.float_info.epsilon * sum(abs(t) for t in terms))
             assert point.residual <= bound, (dim, gamma, point.s, point.residual, bound)
             assert abs(sum(terms)) <= bound, (dim, gamma, point.s, bound)
+
+
+@settings(derandomize=True, deadline=None)
+@given(dim=st.sampled_from([Dimension.D1, Dimension.D3]),
+       gamma=st.floats(min_value=-1e6, max_value=1e6))
+@example(dim=Dimension.D3, gamma=-GAMMA_CRITICAL_3D)
+@example(dim=Dimension.D3, gamma=-GAMMA_CRITICAL_3D + 5e-10)     # inside the band
+@example(dim=Dimension.D3, gamma=-GAMMA_CRITICAL_3D - 5e-10)
+@example(dim=Dimension.D3, gamma=-GAMMA_CRITICAL_3D + 2e-9)      # just outside it
+@example(dim=Dimension.D3, gamma=-GAMMA_CRITICAL_3D - 2e-9)
+@example(dim=Dimension.D3, gamma=-1e-57)      # barrier far below the scan window
+@example(dim=Dimension.D3, gamma=-1e-60)
+@example(dim=Dimension.D3, gamma=-1e-300)     # barrier below float64 range
+@example(dim=Dimension.D3, gamma=-5e-324)
+def test_stationary_points_property_any_finite_coupling(dim, gamma):
+    c = 2.0 * gamma / SQRT_2PI
+    if dim is Dimension.D3 and gamma < 0.0 and (abs(c) / 2.0) ** 5 < sys.float_info.min:
+        # de/ds cannot be evaluated at the barrier width ~|c|: rejected, not mislabelled
+        with pytest.raises(ValueError, match="too weak"):
+            stationary_points(problem(dim, gamma))
+        return
+    report = stationary_points(problem(dim, gamma))
+
+    minimum, maximum = PointKind.MINIMUM, PointKind.MAXIMUM
+    if gamma == 0.0:
+        expected = (Regime.NONINTERACTING, [minimum])
+    elif gamma > 0.0:
+        expected = (Regime.REPULSIVE_STABLE, [minimum])
+    elif dim is Dimension.D1:
+        expected = (Regime.ATTRACTIVE_1D, [minimum])     # Descartes: one positive root
+    elif abs(gamma + GAMMA_CRITICAL_3D) < 1e-9:
+        expected = (Regime.ATTRACTIVE_CRITICAL, [minimum])
+    elif -0.8 * 5.0**-0.25 - c < 0.0:
+        # s^5 - s - c dips below zero at its minimum s = 5^(-1/4): two roots
+        expected = (Regime.ATTRACTIVE_SUBCRITICAL, [maximum, minimum])
+    else:
+        expected = (Regime.ATTRACTIVE_COLLAPSED, [])
+    assert (report.regime, [p.kind for p in report.points]) == expected
+
+    if report.regime is Regime.ATTRACTIVE_CRITICAL:
+        return      # exempt from the residual contract, see StationaryPoint
+    for point in report.points:
+        terms = slope_terms(dim, gamma, point.s)
+        bound = max(1e-10, 4.0 * sys.float_info.epsilon * sum(abs(t) for t in terms))
+        assert point.residual <= bound, (point, bound)
 
 
 # --- critical point -------------------------------------------------------------------
