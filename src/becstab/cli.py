@@ -14,6 +14,8 @@ file (flags win), or from the dimensionless shortcut ``--gamma`` + ``--dim``.
 
 Exit status: 0 success, 1 validation error (including non-finite input),
 2 compute failure (an unconverged grid run or an arithmetic overflow).
+A stdout closed early (``| head``) ends the run quietly with status 1.
+Only ``oracle``, ``compare`` and oracle or range sweeps import numpy.
 """
 
 from __future__ import annotations
@@ -21,14 +23,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
-from typing import IO, Optional, Sequence, Union
+from typing import IO, TYPE_CHECKING, Optional, Sequence, Union
 
-import numpy as np
-
-from . import gpe
 from .sweep import comparison_row, dump_profile, emit_csv
 from .sweep import sweep as run_sweep
 from .units import (
@@ -48,6 +48,9 @@ from .variational import (
     n_max_physical,
     stationary_points,
 )
+
+if TYPE_CHECKING:
+    from . import gpe
 
 
 class _UsageError(Exception):
@@ -82,7 +85,7 @@ def _add_setup_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--dim", type=int, choices=(1, 3), help="spatial dimension")
     group.add_argument("--n-atoms", type=float, help="atom number")
     group.add_argument("--gamma", type=float,
-                       help="dimensionless coupling shortcut (bypasses SI flags)")
+                       help="dimensionless coupling shortcut (takes --dim only, no SI setup)")
 
 
 def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
@@ -91,8 +94,8 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
                        help="grid extent in oscillator lengths (default 8)")
     group.add_argument("--n-points", type=int, default=512,
                        help="grid points (default 512)")
-    group.add_argument("--max-iter", type=int, default=gpe.DEFAULT_MAX_ITER,
-                       help="minimizer step cap")
+    # None stands for gpe.DEFAULT_MAX_ITER, read only when a grid run starts.
+    group.add_argument("--max-iter", type=int, help="minimizer step cap")
 
 
 def _add_output_flags(parser: argparse.ArgumentParser, csv_help: Optional[str] = None) -> None:
@@ -169,7 +172,8 @@ def _build_setup(args: argparse.Namespace, need_n: bool = False) -> PhysicalSetu
 def _build_problem(args: argparse.Namespace) -> tuple[DimensionlessProblem, float]:
     """(problem, atom number) from --gamma/--dim, with N = NaN, or from the SI setup."""
     if args.gamma is not None:
-        for key, flag in (("scattering_a_m", "--scattering-a"),
+        for key, flag in (("config", "--config"), ("mass_amu", "--mass-amu"),
+                          ("freq_hz", "--freq-hz"), ("scattering_a_m", "--scattering-a"),
                           ("coupling_1d_jm", "--coupling-1d"), ("n_atoms", "--n-atoms")):
             if getattr(args, key) is not None:
                 raise _UsageError(f"--gamma conflicts with {flag}")
@@ -286,6 +290,7 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
         raise _UsageError("sweep needs --n-list or all of --n-min/--n-max/--n-steps")
     if args.n_steps < 1:
         raise _UsageError("--n-steps must be >= 1")
+    import numpy as np  # ranges keep numpy's linspace/geomspace values, byte for byte
     if args.log:
         if args.n_min <= 0:
             raise _UsageError("--log needs --n-min > 0")
@@ -298,7 +303,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise _UsageError("sweep ranges over atom numbers; it needs an SI setup, not --gamma")
     setup = _build_setup(args)
     n_values = _sweep_values(args)
-    grid = gpe.GridSpec(setup.dimension, args.r_max, args.n_points) if args.with_oracle else None
+    grid = None
+    if args.with_oracle:
+        from . import gpe
+        grid = gpe.GridSpec(setup.dimension, args.r_max, args.n_points)
     rows = run_sweep(setup, n_values, with_oracle=args.with_oracle, grid=grid)
     emit_csv(rows, _open_sink(args.csv if args.csv is not None else "-"))
     return 0
@@ -310,10 +318,22 @@ def _unconverged_message(state: gpe.GridState, max_iter: int) -> str:
     return f"minimizer {reason} after {state.iterations} steps, unconverged"
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    problem, _ = _build_problem(args)
+def _grid_run(args: argparse.Namespace,
+              problem: DimensionlessProblem) -> tuple[gpe.GridState, Optional[str]]:
+    """Minimizer run on the flags' grid, and the failure to raise once its output is written."""
+    from . import gpe
+    max_iter = gpe.DEFAULT_MAX_ITER if args.max_iter is None else args.max_iter
     spec = gpe.GridSpec(problem.dimension, args.r_max, args.n_points)
-    state = gpe.minimize(spec, problem.gamma_total, max_iter=args.max_iter)
+    state = gpe.minimize(spec, problem.gamma_total, max_iter=max_iter)
+    if state.converged or state.collapsed:
+        return state, None
+    return state, _unconverged_message(state, max_iter)
+
+
+def _cmd_oracle(args: argparse.Namespace) -> int:
+    from . import gpe
+    problem, _ = _build_problem(args)
+    state, failure = _grid_run(args, problem)
     payload = {
         "dimension": problem.dimension.value,
         "gamma": problem.gamma_total,
@@ -339,16 +359,15 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             print(f"width s_eff: {payload['width']!r}")
     if args.csv is not None and state.converged:
         dump_profile(state, _open_sink(args.csv))
-    if not state.converged and not state.collapsed:
-        raise _ComputeError(_unconverged_message(state, args.max_iter))
+    if failure is not None:
+        raise _ComputeError(failure)
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     problem, n_atoms = _build_problem(args)
     report = stationary_points(problem)
-    spec = gpe.GridSpec(problem.dimension, args.r_max, args.n_points)
-    state = gpe.minimize(spec, problem.gamma_total, max_iter=args.max_iter)
+    state, failure = _grid_run(args, problem)
     row = comparison_row(n_atoms, report, state)
     if args.json:
         _print_json({
@@ -365,8 +384,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print(f"variational: s_stable={row.s_stable!r}  s_unstable={row.s_unstable!r}"
               f"  E/N={row.e_var!r}")
         print(f"oracle:      s={row.s_oracle!r}  E/N={row.e_oracle!r}")
-    if not state.converged and not state.collapsed:
-        raise _ComputeError(_unconverged_message(state, args.max_iter))
+    if failure is not None:
+        raise _ComputeError(failure)
     return 0
 
 
@@ -399,7 +418,14 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        status = run()
+        sys.stdout.flush()   # a closed pipe must fail here, not at interpreter exit
+    except BrokenPipeError:
+        # The documented recipe: point stdout at devnull so the final flush is a no-op.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -14,13 +14,13 @@ import re
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterable, Optional, Sequence, Union
+from typing import IO, TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
-import numpy as np
-
-from . import gpe
 from .units import Dimension, PhysicalSetup, reduce
 from .variational import StabilityReport, stationary_points
+
+if TYPE_CHECKING:
+    from . import gpe
 
 _REGIME_TAG = re.compile(r"^[a-z_]+$")
 
@@ -64,6 +64,7 @@ def comparison_row(
         elif not state.converged:
             regime += "_oracle_unconverged"
         else:
+            from . import gpe
             s_oracle = gpe.measured_width(state)
             e_oracle = state.energy.total
     return SweepRow(
@@ -106,6 +107,7 @@ def sweep(
         report = stationary_points(problem)
         state = None
         if with_oracle and report.minimum is not None:
+            from . import gpe
             grid_spec = grid if grid is not None else gpe.GridSpec(dimension=problem.dimension)
             state = gpe.minimize(grid_spec, problem.gamma_total)
         rows.append(comparison_row(float(n), report, state))
@@ -159,14 +161,11 @@ def dump_profile(state: gpe.GridState, destination: Union[str, Path, IO[str]]) -
     """Write the density profile |phi|^2 as two-column CSV (coordinate, density)."""
     axis = state.spec.axis()
     values = state.values
-    if state.spec.dimension is Dimension.D3:
-        header = "r,density"
-        density = np.empty_like(values)
+    three_d = state.spec.dimension is Dimension.D3
+    density = values * values
+    if three_d:
         density[1:] = (values[1:] / axis[1:]) ** 2
         # phi(0) = u'(0); one-sided first-order estimate from the pinned origin.
         density[0] = (values[1] / state.spec.spacing) ** 2
-    else:
-        header = "x,density"
-        density = values * values
     rows = (f"{_format_field(c)},{_format_field(d)}" for c, d in zip(axis, density))
-    _write_lines([header, *rows], destination)
+    _write_lines(["r,density" if three_d else "x,density", *rows], destination)

@@ -20,10 +20,9 @@ weaker than about 1.6e-61 is rejected: its barrier width is below float64 range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from enum import Enum
-
-import numpy as np
 
 from .units import (
     HBAR,
@@ -47,6 +46,11 @@ GAMMA_CRITICAL_3D = 2.0 * SQRT_2PI / 5.0**1.25
 _SCAN_LO = 1e-4
 _SCAN_HI = 1e3
 _SCAN_POINTS = 256
+# The scan points: 10 ** (evenly spaced exponents), with both ends exact.
+_LOG_LO, _LOG_HI = math.log10(_SCAN_LO), math.log10(_SCAN_HI)
+_LOG_STEP = (_LOG_HI - _LOG_LO) / (_SCAN_POINTS - 1)
+_SCAN_GRID = (_SCAN_LO, *(10.0 ** (i * _LOG_STEP + _LOG_LO) for i in range(1, _SCAN_POINTS - 1)),
+              _SCAN_HI)
 _BISECT_WIDTH = 1e-14
 _RESIDUAL_TOL = 1e-10
 # |Gamma + GAMMA_CRITICAL_3D| below this is treated as exactly critical.
@@ -242,7 +246,7 @@ def n_max_physical(setup: PhysicalSetup) -> CriticalNumber:
 
 # --- stationary-point finder ---------------------------------------------------
 
-def _scan_grid(problem: DimensionlessProblem) -> np.ndarray:
+def _scan_grid(problem: DimensionlessProblem) -> list[float]:
     """Bracketing grid for de/ds: log-spaced points plus guaranteed probes.
 
     de/ds shares its positive roots with the polynomial
@@ -263,20 +267,18 @@ def _scan_grid(problem: DimensionlessProblem) -> np.ndarray:
     inside :func:`denergy`, leaves the normal float64 range (|Gamma| below
     about 1.6e-61) is rejected: its barrier width cannot be resolved.
     """
-    grid = np.geomspace(_SCAN_LO, _SCAN_HI, _SCAN_POINTS)
     gamma = problem.gamma_total
     c = 2.0 * gamma / SQRT_2PI
     probes = [1.0 + max(1.0, abs(c)) + 1.0]
     if problem.dimension is Dimension.D3 and gamma < 0.0:
-        if (abs(c) / 2.0) ** 5 < np.finfo(float).tiny:
+        if (abs(c) / 2.0) ** 5 < sys.float_info.min:
             raise ValueError(f"attractive 3D coupling {gamma!r} is too weak: its barrier "
                              f"width ~{abs(c)!r} is below the float64 range of de/ds")
         probes.append(S_MIN_3D)
         probes.append(abs(c) / 2.0)
     if problem.dimension is Dimension.D1 and gamma < 0.0:
         probes.append(min(_SCAN_LO, 1.0 / (2.0 * abs(c))))
-    grid = np.unique(np.concatenate([grid, np.asarray(probes)]))
-    return grid[grid > 0.0]
+    return [s for s in sorted({*_SCAN_GRID, *probes}) if s > 0.0]
 
 
 def _bisect(f, lo: float, hi: float, f_lo: float) -> float:
@@ -341,12 +343,7 @@ def _critical_report(problem: DimensionlessProblem) -> StabilityReport:
     # merging barrier/minimum pair; by convention it is reported once as the
     # last metastable MINIMUM.  The residual is an honest evaluation and may
     # exceed the usual solver tolerance anywhere inside the critical band.
-    point = StationaryPoint(
-        s=S_MIN_3D,
-        kind=PointKind.MINIMUM,
-        energy=ansatz_energy(S_MIN_3D, problem),
-        residual=abs(denergy(S_MIN_3D, problem, 1)),
-    )
+    point = replace(_stationary_point(S_MIN_3D, problem), kind=PointKind.MINIMUM)
     return StabilityReport(
         problem=problem,
         points=(point,),
@@ -375,21 +372,21 @@ def stationary_points(problem: DimensionlessProblem) -> StabilityReport:
         return denergy(s, problem, 1)
 
     grid = _scan_grid(problem)
-    values = np.array([f(s) for s in grid])
+    values = [f(s) for s in grid]
 
     roots: list[float] = []
     for i in range(len(grid) - 1):
         left, right = values[i], values[i + 1]
         if left == 0.0:
-            roots.append(float(grid[i]))
+            roots.append(grid[i])
             continue
         if right == 0.0:
             continue    # picked up as the left edge of the next interval
         if (left > 0.0) != (right > 0.0):
-            root = _bisect(f, float(grid[i]), float(grid[i + 1]), float(left))
+            root = _bisect(f, grid[i], grid[i + 1], left)
             roots.append(_polish(root, problem))
     if values[-1] == 0.0:
-        roots.append(float(grid[-1]))
+        roots.append(grid[-1])
 
     points = tuple(_stationary_point(s, problem) for s in sorted(roots))
 

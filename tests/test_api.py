@@ -3,6 +3,7 @@
 import sys
 
 import becstab
+import becstab.gpe  # noqa: F401  (loaded on first use; the sys.modules lookups need it)
 from becstab import CriticalNumber
 
 FOLDED = ("GaussianAnsatz", "CriticalPoint", "critical_3d", "energy_1d", "energy_3d")

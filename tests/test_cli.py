@@ -2,8 +2,12 @@
 
 import dataclasses
 import json
+import os
+import re
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,20 @@ from becstab.cli import _unconverged_message, run
 
 LI7_FLAGS = ["--mass-amu", "7.016", "--freq-hz", "120",
              "--scattering-a", "-1.45e-9", "--dim", "3"]
+
+
+def run_child(*args: str, close_stdout: bool = False) -> subprocess.CompletedProcess:
+    """``python <args>`` with this checkout's ``src`` first on the import path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    cmd, env = [sys.executable, *args], {**os.environ, "PYTHONPATH": path}
+    if not close_stdout:
+        return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    with subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True) as proc:
+        proc.stdout.close()      # the reader goes away before the child writes a byte
+        err = proc.stderr.read()
+    return subprocess.CompletedProcess(cmd, proc.returncode, "", err)
 
 
 # --- critical ---------------------------------------------------------------------
@@ -108,6 +126,13 @@ def test_gamma_conflicts_with_si_interaction(capsys):
     assert run(["minimize", "--dim", "3", "--gamma", "-0.3",
                 "--scattering-a", "-1e-9"]) == 1
     assert "--gamma conflicts" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--config", "/nonexistent.cfg"], ["--mass-amu", "7"],
+                                  ["--freq-hz", "100"]])
+def test_gamma_conflicts_with_every_setup_flag(flag, capsys):
+    assert run(["minimize", "--dim", "3", "--gamma", "-0.3", *flag]) == 1
+    assert f"--gamma conflicts with {flag[0]}" in capsys.readouterr().err
 
 
 def test_gamma_requires_dim(capsys):
@@ -304,6 +329,35 @@ def test_compare_json_upper_bound(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["variational"]["e_per_atom"] >= payload["oracle"]["e_per_atom"] - 1e-3
     assert abs(payload["variational"]["s_stable"] - payload["oracle"]["s"]) < 0.1
+
+
+# --- processes: imports and a closed stdout -----------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["critical", *LI7_FLAGS, "--json"],
+    ["minimize", "--dim", "3", "--gamma", "-0.3", "--json"],
+    ["sweep", *LI7_FLAGS, "--n-list", "0,500,1000,1400,1500,1600,1700"],
+])
+def test_closed_form_commands_never_import_numpy(argv, capsys):
+    child = run_child("-X", "importtime", "-m", "becstab.cli", *argv)
+    assert child.returncode == 0, child.stderr
+    imported = re.findall(r"^import time:.*\|\s*(\S+)$", child.stderr, flags=re.MULTILINE)
+    assert "becstab.variational" in imported
+    assert "becstab.gpe" not in imported
+    assert not [name for name in imported if name.split(".")[0] == "numpy"]
+    assert run(argv) == 0
+    assert child.stdout == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    # A few lines break the pipe at the final flush; 400 CSV rows inside a write.
+    ["minimize", "--dim", "3", "--gamma", "-0.3"],
+    ["sweep", *LI7_FLAGS, "--n-list", ",".join(map(str, range(0, 1600, 4)))],
+])
+def test_closed_stdout_ends_quietly(argv):
+    child = run_child("-m", "becstab.cli", *argv, close_stdout=True)
+    assert child.stderr == "", child.stderr      # no Traceback, no "Exception ignored"
+    assert child.returncode == 1
 
 
 # --- installed entry point -------------------------------------------------------------------

@@ -381,6 +381,16 @@ def test_extreme_couplings_still_bracketed():
     assert len(tiny.points) == 2
 
 
+def test_scan_grid_is_geomspace_with_exact_ends():
+    grid = sys.modules["becstab.variational"]._SCAN_GRID
+    assert len(grid) == 256
+    assert grid[0] == 1e-4 and grid[-1] == 1e3
+    assert all(a < b for a, b in zip(grid, grid[1:]))
+    assert all(type(s) is float for s in grid)
+    reference = np.geomspace(1e-4, 1e3, 256)
+    assert np.all(np.abs(np.asarray(grid) - reference) <= 4 * np.spacing(reference))
+
+
 def slope_terms(dim: Dimension, gamma: float, s: float) -> tuple[float, float, float]:
     """Kinetic, trap and interaction terms of de/ds, written out independently."""
     if dim is Dimension.D3:
