@@ -88,14 +88,15 @@ def _add_setup_flags(parser: argparse.ArgumentParser) -> None:
                        help="dimensionless coupling shortcut (takes --dim only, no SI setup)")
 
 
-def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
+def _add_grid_flags(parser: argparse.ArgumentParser, step_cap: bool = True) -> None:
     group = parser.add_argument_group("grid")
     group.add_argument("--r-max", type=float, default=8.0,
                        help="grid extent in oscillator lengths (default 8)")
     group.add_argument("--n-points", type=int, default=512,
                        help="grid points (default 512)")
-    # None stands for gpe.DEFAULT_MAX_ITER, read only when a grid run starts.
-    group.add_argument("--max-iter", type=int, help="minimizer step cap")
+    if step_cap:
+        # None stands for gpe.DEFAULT_MAX_ITER, read only when a grid run starts.
+        group.add_argument("--max-iter", type=int, help="minimizer step cap")
 
 
 def _add_output_flags(parser: argparse.ArgumentParser, csv_help: Optional[str] = None) -> None:
@@ -121,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = subparsers.add_parser("sweep", help="CSV table over atom numbers")
     _add_setup_flags(p_sweep)
-    _add_grid_flags(p_sweep)
+    _add_grid_flags(p_sweep, step_cap=False)
     p_sweep.add_argument("--n-list", type=str,
                          help="comma-separated atom numbers, e.g. 0,500,1000")
     p_sweep.add_argument("--n-min", type=float, help="range start")
@@ -307,7 +308,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.with_oracle:
         from . import gpe
         grid = gpe.GridSpec(setup.dimension, args.r_max, args.n_points)
-    rows = run_sweep(setup, n_values, with_oracle=args.with_oracle, grid=grid)
+    rows = run_sweep(setup, n_values, grid=grid)
     emit_csv(rows, _open_sink(args.csv if args.csv is not None else "-"))
     return 0
 

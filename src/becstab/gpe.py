@@ -45,7 +45,8 @@ how far a state is from solving it by the preconditioned residual
 (plain dot products over the grid samples), and reports ``converged`` only
 when it is at most 1e-6.  P is applied exactly in O(n) memory: the discrete
 sine transform (DST-I), built from the real FFT of the odd extension,
-diagonalises Delta_h.
+diagonalises Delta_h.  A run is ``collapsed`` once its rms width is below 4h,
+or in 3D once its energy is below -1e3.  In 1D that means the grid is too coarse.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from .variational import EnergyBreakdown
 DEFAULT_MAX_ITER = 500_000
 # A run is ``converged`` once the preconditioned residual is at most this.
 _RESIDUAL_TOL = 1e-6
-# Collapse detection: cloud width at grid scale, or unbounded energy descent.
+# Collapse thresholds: the rms width in grid spacings, and the energy floor in 3D.
 _COLLAPSE_WIDTH_FACTOR = 4.0
 _COLLAPSE_ENERGY = -1e3
 _NORM_TOL = 1e-9
@@ -109,7 +110,7 @@ class GridState:
     the stored normalisation.  ``iterations`` counts accepted minimizer
     steps.  ``residual`` is the preconditioned residual of ``values`` (see
     the module docstring) for minimizer output and None for hand-built
-    states.
+    states.  ``collapsed`` is set by the collapse rule in the module docstring.
     """
 
     values: np.ndarray
@@ -295,15 +296,15 @@ def minimize(
     energy decreases, so accepted energies are monotone up to rounding and
     the norm stays 1 to rounding.
 
-    Termination: the residual sqrt(r . P r / u . u) (see the module
-    docstring) at most 1e-6 (``converged``); collapse of an attractive cloud
-    to the grid scale (``collapsed``); a stall, where the energy no longer
-    decreases in float64 along the search direction; or ``max_iter``
-    accepted steps.  A stall or the cap sets neither flag and raises no
-    exception.  The returned state's ``residual`` is that of its ``values``
-    on every exit.  For attractive couplings the default Gaussian start lies
-    in the metastable basin, and the energy falls along every accepted arc,
-    so the local minimum is found, never the unbounded global descent.
+    Termination, tested before every step and so on the start state too:
+    the collapse rule (``collapsed``, module docstring); the residual
+    sqrt(r . P r / u . u) at most 1e-6 (``converged``); a stall, where the
+    energy no longer decreases in float64 along the search direction; or
+    ``max_iter`` accepted steps.  A stall or the cap sets neither flag and
+    raises no exception.  The returned state's ``residual`` is that of its
+    ``values`` on every exit.  For attractive couplings the default Gaussian
+    start lies in the metastable basin, and the energy falls along every
+    accepted arc, so the local minimum is found, never the global descent.
 
     ``on_accept(energy, values)`` is invoked after every accepted step with
     a read-only view of the live state.
@@ -317,8 +318,6 @@ def minimize(
         values = sample_gaussian(spec, 1.0)
 
     energy = disc.breakdown(values)
-    width_floor = _COLLAPSE_WIDTH_FACTOR * disc.h
-    collapsed = False
     iterations = 0
     direction = None
     last_pr = last_rpr = None
@@ -330,6 +329,10 @@ def minimize(
         pr = disc.precondition(residual)
         rpr = float(np.dot(residual, pr))
         residual_norm = math.sqrt(rpr / uu)
+        # A grid-scale width: collapse in 3D, a failed grid in 1D (a 1D ground state always exists).
+        # On fine 3D grids collapse is a spike whose tail keeps the width wide; the energy decides.
+        collapsed = (_width(energy, spec.dimension) < _COLLAPSE_WIDTH_FACTOR * disc.h
+                     or spec.dimension is Dimension.D3 and energy.total < _COLLAPSE_ENERGY)
         converged = not collapsed and residual_norm <= _RESIDUAL_TOL
         if converged or collapsed or iterations >= max_iter:
             break
@@ -359,7 +362,6 @@ def minimize(
             view = values.view()
             view.flags.writeable = False
             on_accept(energy.total, view)
-        collapsed = energy.total < _COLLAPSE_ENERGY or _width(energy, spec.dimension) < width_floor
 
     return GridState(
         values=values,
@@ -409,16 +411,15 @@ def measured_width(state: GridState) -> float:
     """Root-mean-square cloud width mapped to the Gaussian ``s`` convention.
 
     Returns sqrt(2 <r^2> / 3) in 3D and sqrt(2 <x^2>) in 1D, which equal
-    sigma/a_ho exactly when the state is Gaussian.  Collapsed states have no
-    meaningful width; minimizer output that failed to converge is rejected
-    too (hand-built states, ``residual`` None, are always measurable).
+    sigma/a_ho exactly when the state is Gaussian, from ``state.energy``.
+    Collapsed states have no meaningful width; unconverged minimizer output is
+    rejected too (hand-built states, ``residual`` None, are always measurable).
     """
     if state.collapsed:
         raise ValueError("collapsed state has no meaningful width")
     if state.residual is not None and not state.converged:
         raise ValueError("unconverged minimizer state; width would be untrustworthy")
-    disc = _Discretisation(state.spec, state.gamma_total)
-    return _width(disc.breakdown(state.values), state.spec.dimension)
+    return _width(state.energy, state.spec.dimension)
 
 
 def critical_scan(spec: GridSpec, bracket: tuple[float, float]) -> float:

@@ -82,16 +82,15 @@ def comparison_row(
 def sweep(
     setup: PhysicalSetup,
     n_values: Sequence[float],
-    with_oracle: bool = False,
     grid: Optional[gpe.GridSpec] = None,
 ) -> list[SweepRow]:
     """One row per atom number, in input order.
 
     ``setup`` provides trap and interaction; its own ``n_atoms`` is ignored.
     ``n_values`` must be non-empty, non-negative and sorted ascending.
-    Oracle columns are filled only when ``with_oracle``, and only for rows
-    with a variational minimum; a minimizer run that collapses or fails to
-    converge leaves them empty and tags the row's regime instead of
+    Oracle columns are filled only when a ``grid`` is given, and only for
+    rows with a variational minimum; a minimizer run that collapses or fails
+    to converge leaves them empty and tags the row's regime instead of
     aborting the sweep (see :func:`comparison_row`).
     """
     if len(n_values) == 0:
@@ -106,10 +105,9 @@ def sweep(
         problem = reduce(setup.with_n(float(n)))
         report = stationary_points(problem)
         state = None
-        if with_oracle and report.minimum is not None:
+        if grid is not None and report.minimum is not None:
             from . import gpe
-            grid_spec = grid if grid is not None else gpe.GridSpec(dimension=problem.dimension)
-            state = gpe.minimize(grid_spec, problem.gamma_total)
+            state = gpe.minimize(grid, problem.gamma_total)
         rows.append(comparison_row(float(n), report, state))
     return rows
 

@@ -156,6 +156,11 @@ def test_bad_grid_flags(capsys):
     assert run(["oracle", "--dim", "3", "--gamma", "0",
                 "--n-points", "8"]) == 1
     assert "n_points" in capsys.readouterr().err
+    # sweep's oracle runs to convergence: it takes no step cap
+    assert run(["sweep", *LI7_FLAGS, "--n-list", "500", "--with-oracle",
+                "--n-points", "128", "--r-max", "6", "--max-iter", "3"]) == 1
+    captured = capsys.readouterr()
+    assert "--max-iter" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -286,6 +291,15 @@ def test_oracle_collapse_is_reported_not_failed(capsys):
     assert run(["oracle", "--dim", "3", "--gamma", "-1.0",
                 "--n-points", "128", "--r-max", "6"]) == 0
     assert "collapsed: True" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the start state's residual overflows
+def test_oracle_reports_a_start_state_that_has_collapsed(capsys):
+    # the Gaussian start is already far below the 3D energy floor
+    assert run(["oracle", "--dim", "3", "--gamma", "-1e300",
+                "--n-points", "128", "--r-max", "6"]) == 0
+    out = capsys.readouterr().out
+    assert "collapsed: True" in out and "iterations: 0" in out
 
 
 def test_compare_text_and_csv(capsys):

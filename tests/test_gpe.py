@@ -226,6 +226,35 @@ def test_minimize_supercritical_collapses():
     assert out.collapsed and not out.converged
     with pytest.raises(ValueError):
         measured_width(out)
+    # on a coarse 3D grid the spike never reaches the energy floor: the width rule decides
+    coarse = minimize(GridSpec(Dimension.D3, 6.0, 64), -1.5)
+    assert coarse.collapsed and coarse.energy.total > -1e3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the start state's residual overflows
+def test_minimize_checks_the_start_state_for_collapse():
+    # the Gaussian start already lies below the 3D energy floor: no step is taken
+    out = minimize(FAST_3D, -1e300)
+    assert out.collapsed and not out.converged
+    assert out.iterations == 0
+
+
+@pytest.mark.parametrize("spec, gamma, resolved", [
+    (GridSpec(Dimension.D1, 6.0, 2048), -80.0, True),    # ansatz width about 5.3 h
+    (GridSpec(Dimension.D1, 8.0, 512), -60.0, False),    # ansatz width about 1.3 h
+])
+def test_one_dimensional_collapse_means_an_under_resolved_grid(spec, gamma, resolved):
+    out = minimize(spec, gamma)
+    minimum = stationary_points(DimensionlessProblem(Dimension.D1, gamma)).minimum
+    if resolved:
+        # the energy falls below -1e3 on the way; a 1D ground state exists anyway
+        assert out.converged and not out.collapsed
+        assert out.energy.total <= minimum.energy.total
+        assert measured_width(out) == pytest.approx(minimum.s, rel=0.02)
+    else:
+        assert out.collapsed and not out.converged
+        # the 1D collapse rule: an rms width sqrt(2 <x^2>) below 4 h
+        assert math.sqrt(4.0 * out.energy.potential) < 4.0 * spec.spacing
 
 
 def test_upper_bound_property():

@@ -106,7 +106,7 @@ def test_branches_meet_at_critical_width():
 
 def test_sweep_with_oracle_columns():
     grid = GridSpec(Dimension.D3, 6.0, 128)
-    rows = sweep(LI7, [0.0, 500.0], with_oracle=True, grid=grid)
+    rows = sweep(LI7, [0.0, 500.0], grid=grid)
     for row in rows:
         assert row.s_oracle is not None
         assert row.e_oracle is not None
@@ -114,7 +114,7 @@ def test_sweep_with_oracle_columns():
         assert abs(row.s_oracle - row.s_stable) < 0.1
     # collapsed rows skip the oracle entirely
     n_max = n_max_physical(LI7).n_direct
-    rows = sweep(LI7, [2.0 * n_max], with_oracle=True, grid=grid)
+    rows = sweep(LI7, [2.0 * n_max], grid=grid)
     assert rows[0].s_oracle is None
     assert rows[0].regime == "attractive_collapsed"
 
@@ -130,7 +130,7 @@ def test_oracle_collapse_inside_variational_window_is_tagged():
     # minimizer correctly collapses; the row records that per-row
     grid = GridSpec(Dimension.D3, 6.0, 128)
     n_window = 0.64 / 0.6705133427357031 * n_max_physical(LI7).n_direct
-    rows = sweep(LI7, [n_window], with_oracle=True, grid=grid)
+    rows = sweep(LI7, [n_window], grid=grid)
     row = rows[0]
     assert row.regime == "attractive_subcritical_oracle_collapsed"
     assert row.s_stable is not None      # variational branch still exists
