@@ -164,6 +164,8 @@ def _setup_entries(args: argparse.Namespace) -> dict[str, object]:
 
 
 def _build_setup(args: argparse.Namespace, need_n: bool = False) -> PhysicalSetup:
+    if args.gamma is not None:
+        raise _UsageError(f"{args.command} works in atom numbers; it needs an SI setup, not --gamma")
     entries = _setup_entries(args)
     if need_n and "n_atoms" not in entries:
         raise _UsageError("this command needs --n-atoms (or n_atoms in the config)")
@@ -300,8 +302,6 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.gamma is not None:
-        raise _UsageError("sweep ranges over atom numbers; it needs an SI setup, not --gamma")
     setup = _build_setup(args)
     n_values = _sweep_values(args)
     grid = None

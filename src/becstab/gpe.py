@@ -109,8 +109,9 @@ class GridState:
     ``values`` is phi (1D) or u = r*phi (3D); see the module docstring for
     the stored normalisation.  ``iterations`` counts accepted minimizer
     steps.  ``residual`` is the preconditioned residual of ``values`` (see
-    the module docstring) for minimizer output and None for hand-built
-    states.  ``collapsed`` is set by the collapse rule in the module docstring.
+    the module docstring) for minimizer output, and None for collapsed
+    minimizer output and hand-built states.  ``collapsed`` is set by the
+    collapse rule in the module docstring.
     """
 
     values: np.ndarray
@@ -297,14 +298,16 @@ def minimize(
     the norm stays 1 to rounding.
 
     Termination, tested before every step and so on the start state too:
-    the collapse rule (``collapsed``, module docstring); the residual
-    sqrt(r . P r / u . u) at most 1e-6 (``converged``); a stall, where the
-    energy no longer decreases in float64 along the search direction; or
-    ``max_iter`` accepted steps.  A stall or the cap sets neither flag and
-    raises no exception.  The returned state's ``residual`` is that of its
-    ``values`` on every exit.  For attractive couplings the default Gaussian
-    start lies in the metastable basin, and the energy falls along every
-    accepted arc, so the local minimum is found, never the global descent.
+    the collapse rule (``collapsed``, module docstring), tested first from
+    the energy alone; the residual sqrt(r . P r / u . u) at most 1e-6
+    (``converged``); a stall, where the energy no longer decreases in float64
+    along the search direction; or ``max_iter`` accepted steps.  A stall or
+    the cap sets neither flag and raises no exception.  The returned state's
+    ``residual`` is that of its ``values``, except on a collapse, which
+    skips it (it can overflow there) and returns None.  For attractive
+    couplings the default Gaussian start lies in the metastable basin, and
+    the energy falls along every accepted arc, so the local minimum is
+    found, never the global descent.
 
     ``on_accept(energy, values)`` is invoked after every accepted step with
     a read-only view of the live state.
@@ -323,18 +326,21 @@ def minimize(
     last_pr = last_rpr = None
 
     while True:
+        # A grid-scale width: collapse in 3D, a failed grid in 1D (a 1D ground state always exists).
+        # On fine 3D grids collapse is a spike whose tail keeps the width wide; the energy decides.
+        collapsed = (_width(energy, spec.dimension) < _COLLAPSE_WIDTH_FACTOR * disc.h
+                     or spec.dimension is Dimension.D3 and energy.total < _COLLAPSE_ENERGY)
+        if collapsed:
+            converged, residual_norm = False, None
+            break
         hu = disc.hamiltonian(values)
         uu = float(np.dot(values, values))
         residual = hu - (float(np.dot(values, hu)) / uu) * values
         pr = disc.precondition(residual)
         rpr = float(np.dot(residual, pr))
         residual_norm = math.sqrt(rpr / uu)
-        # A grid-scale width: collapse in 3D, a failed grid in 1D (a 1D ground state always exists).
-        # On fine 3D grids collapse is a spike whose tail keeps the width wide; the energy decides.
-        collapsed = (_width(energy, spec.dimension) < _COLLAPSE_WIDTH_FACTOR * disc.h
-                     or spec.dimension is Dimension.D3 and energy.total < _COLLAPSE_ENERGY)
-        converged = not collapsed and residual_norm <= _RESIDUAL_TOL
-        if converged or collapsed or iterations >= max_iter:
+        converged = residual_norm <= _RESIDUAL_TOL
+        if converged or iterations >= max_iter:
             break
         pr -= (float(np.dot(values, pr)) / uu) * values
         if direction is not None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .units import (
@@ -42,7 +42,7 @@ S_MIN_3D = 5.0 ** -0.25
 # |Gamma| = 2 sqrt(2 pi) / 5^(5/4).
 GAMMA_CRITICAL_3D = 2.0 * SQRT_2PI / 5.0**1.25
 
-# Root-finder settings: log-spaced bracketing scan, bisection, Newton polish.
+# Root finder: a log-spaced scan brackets the roots, a safeguarded Newton refines each.
 _SCAN_LO = 1e-4
 _SCAN_HI = 1e3
 _SCAN_POINTS = 256
@@ -51,8 +51,6 @@ _LOG_LO, _LOG_HI = math.log10(_SCAN_LO), math.log10(_SCAN_HI)
 _LOG_STEP = (_LOG_HI - _LOG_LO) / (_SCAN_POINTS - 1)
 _SCAN_GRID = (_SCAN_LO, *(10.0 ** (i * _LOG_STEP + _LOG_LO) for i in range(1, _SCAN_POINTS - 1)),
               _SCAN_HI)
-_BISECT_WIDTH = 1e-14
-_RESIDUAL_TOL = 1e-10
 # |Gamma + GAMMA_CRITICAL_3D| below this is treated as exactly critical.
 _CRITICAL_BAND = 1e-9
 
@@ -249,15 +247,14 @@ def n_max_physical(setup: PhysicalSetup) -> CriticalNumber:
 def _scan_grid(problem: DimensionlessProblem) -> list[float]:
     """Bracketing grid for de/ds: log-spaced points plus guaranteed probes.
 
-    de/ds shares its positive roots with the polynomial
-    s^5 - s - c (3D) or s^4 - c s - 1 (1D), c = 2 Gamma / sqrt(2 pi).
+    de/ds has the sign, and so the positive roots, of the polynomial p that
+    :func:`stationary_points` refines, with c = 2 Gamma / sqrt(2 pi).
     The probes pin a grid point on the known-sign side of every root so a
     sign change can never fall between samples:
 
-    * 3D attractive: the polynomial's unique local minimum sits at exactly
-      s = 5^(-1/4) for every c, strictly between the two roots whenever they
-      exist; |c|/2 lies below the small root (the polynomial is positive
-      there for every attractive c).
+    * 3D attractive: p's unique local minimum sits at exactly s = 5^(-1/4)
+      for every c, strictly between the two roots whenever they exist; |c|/2
+      lies below the small root (p is positive there for every attractive c).
     * 1D attractive with huge |c|: the single root ~ 1/|c| can undershoot
       the scan window; 1/(2|c|) is always on its negative side.
     * A point beyond the Cauchy root bound 1 + max(1, |c|) is always past
@@ -281,54 +278,39 @@ def _scan_grid(problem: DimensionlessProblem) -> list[float]:
     return [s for s in sorted({*_SCAN_GRID, *probes}) if s > 0.0]
 
 
-def _bisect(f, lo: float, hi: float, f_lo: float) -> float:
-    """Bisection of a bracketed sign change down to width _BISECT_WIDTH.
+def _refine(p, dp, lo: float, hi: float) -> float:
+    """Root of p in [lo, hi], where p changes sign, by safeguarded Newton.
 
-    Below the scan window the width shrinks in proportion to ``lo``, so that
-    roots far smaller than _BISECT_WIDTH are still resolved.
+    Newton starts from the endpoint where |p| is smaller, which is returned
+    as it is if p is 0 there.  A step that would leave the bracket is
+    replaced by bisection, and each new iterate shrinks the bracket.  Returns
+    the iterate with the smallest |p|; stops once s no longer moves or the
+    bracket can no longer be split.
     """
-    width = _BISECT_WIDTH * min(1.0, lo / _SCAN_LO)
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:     # interval at floating resolution
+    p_lo, p_hi = p(lo), p(hi)
+    rising = p_lo < p_hi
+    s, p_s = (lo, p_lo) if abs(p_lo) <= abs(p_hi) else (hi, p_hi)
+    best, p_best = s, math.inf
+    while p_s != 0.0:
+        slope = dp(s)
+        step = s - p_s / slope if slope else math.inf     # a flat p: bisect
+        if step == s:
             break
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+            if not lo < step < hi:
+                break
+        s, p_s = step, p(step)
+        if (p_s > 0.0) == rising:
+            hi = s
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _polish(s: float, problem: DimensionlessProblem) -> float:
-    """Newton steps on de/ds from an already-bisected root; keeps the best."""
-    # Aim two orders inside the residual contract; one step usually suffices.
-    target = _RESIDUAL_TOL * 1e-2
-    best, best_res = s, abs(denergy(s, problem, 1))
-    for _ in range(4):
-        if best_res <= target:
-            break
-        slope = denergy(s, problem, 2)
-        if slope == 0.0:
-            break
-        step = denergy(s, problem, 1) / slope
-        s_next = s - step
-        if not s_next > 0.0:
-            break
-        res = abs(denergy(s_next, problem, 1))
-        if res < best_res:
-            best, best_res = s_next, res
-        if abs(step) < 1e-17 * s:
-            break
-        s = s_next
+            lo = s
+        if abs(p_s) < abs(p_best):
+            best, p_best = s, p_s
     return best
 
 
-def _stationary_point(s: float, problem: DimensionlessProblem) -> StationaryPoint:
-    curvature = denergy(s, problem, 2)
-    kind = PointKind.MINIMUM if curvature > 0.0 else PointKind.MAXIMUM
+def _stationary_point(s: float, kind: PointKind, problem: DimensionlessProblem) -> StationaryPoint:
     return StationaryPoint(
         s=s,
         kind=kind,
@@ -343,7 +325,7 @@ def _critical_report(problem: DimensionlessProblem) -> StabilityReport:
     # merging barrier/minimum pair; by convention it is reported once as the
     # last metastable MINIMUM.  The residual is an honest evaluation and may
     # exceed the usual solver tolerance anywhere inside the critical band.
-    point = replace(_stationary_point(S_MIN_3D, problem), kind=PointKind.MINIMUM)
+    point = _stationary_point(S_MIN_3D, PointKind.MINIMUM, problem)
     return StabilityReport(
         problem=problem,
         points=(point,),
@@ -356,10 +338,12 @@ def _critical_report(problem: DimensionlessProblem) -> StabilityReport:
 def stationary_points(problem: DimensionlessProblem) -> StabilityReport:
     """All roots of de/ds on (0, inf), classified and bundled with the regime.
 
-    Roots are bracketed by sign changes on the scan grid, refined by
-    bisection and polished with Newton steps; zero roots is a valid outcome
-    (3D attractive past the critical coupling).  Every point meets the
-    residual bound stated on :class:`StationaryPoint`.
+    Each sign change of de/ds on the scan grid of :func:`_scan_grid`, with 0
+    counted as non-positive, brackets one root.  A safeguarded Newton refines
+    it on p, the polynomial that shares those roots and signs.  A change from
+    - to + is a MINIMUM, from + to - a MAXIMUM.  Zero roots is a valid
+    outcome (3D attractive past the critical coupling).  Every point meets
+    the residual bound stated on :class:`StationaryPoint`.
     """
     gamma = problem.gamma_total
     three_d = problem.dimension is Dimension.D3
@@ -368,27 +352,21 @@ def stationary_points(problem: DimensionlessProblem) -> StabilityReport:
     if attractive_3d and abs(gamma + GAMMA_CRITICAL_3D) < _CRITICAL_BAND:
         return _critical_report(problem)
 
-    def f(s: float) -> float:
-        return denergy(s, problem, 1)
+    # de/ds = 3 p / (2 s^4) in 3D and p / (2 s^3) in 1D.  Nested products, not
+    # powers: p overflows to inf, never to nan or an exception.
+    c = 2.0 * gamma / SQRT_2PI
+    if three_d:
+        p, dp = (lambda s: s * (s * s * s * s - 1.0) - c), (lambda s: 5.0 * s * s * s * s - 1.0)
+    else:
+        p, dp = (lambda s: s * (s * s * s - c) - 1.0), (lambda s: 4.0 * s * s * s - c)
 
     grid = _scan_grid(problem)
-    values = [f(s) for s in grid]
-
-    roots: list[float] = []
-    for i in range(len(grid) - 1):
-        left, right = values[i], values[i + 1]
-        if left == 0.0:
-            roots.append(grid[i])
-            continue
-        if right == 0.0:
-            continue    # picked up as the left edge of the next interval
-        if (left > 0.0) != (right > 0.0):
-            root = _bisect(f, grid[i], grid[i + 1], left)
-            roots.append(_polish(root, problem))
-    if values[-1] == 0.0:
-        roots.append(grid[-1])
-
-    points = tuple(_stationary_point(s, problem) for s in sorted(roots))
+    values = [denergy(s, problem, 1) for s in grid]
+    points = tuple(
+        _stationary_point(_refine(p, dp, lo, hi),
+                          PointKind.MINIMUM if right > 0.0 else PointKind.MAXIMUM, problem)
+        for lo, hi, left, right in zip(grid, grid[1:], values, values[1:])
+        if (left > 0.0) != (right > 0.0))
 
     if gamma == 0.0:
         regime = Regime.NONINTERACTING

@@ -54,6 +54,12 @@ def test_critical_li7_json_schema(capsys):
     assert payload["path_direct"] == pytest.approx(payload["path_dimensionless"], rel=1e-10)
 
 
+def test_critical_rejects_gamma(capsys):
+    # critical reads an SI setup; --gamma must not be silently ignored
+    assert run(["critical", *LI7_FLAGS, "--gamma", "-0.3"]) == 1
+    assert "not --gamma" in capsys.readouterr().err
+
+
 def test_critical_scientific_notation_negative_flag_value(capsys):
     # space-separated negative values in scientific notation must parse
     assert run(["critical", "--mass-amu", "7.016", "--freq-hz", "120",
@@ -293,7 +299,6 @@ def test_oracle_collapse_is_reported_not_failed(capsys):
     assert "collapsed: True" in capsys.readouterr().out
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the start state's residual overflows
 def test_oracle_reports_a_start_state_that_has_collapsed(capsys):
     # the Gaussian start is already far below the 3D energy floor
     assert run(["oracle", "--dim", "3", "--gamma", "-1e300",

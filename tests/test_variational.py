@@ -416,6 +416,26 @@ def test_residual_meets_the_stated_contract():
             assert abs(sum(terms)) <= bound, (dim, gamma, point.s, bound)
 
 
+def test_roots_on_scan_points_are_found_once():
+    # Gamma = gamma_of_width(s_i) puts a root on scan point s_i, where de/ds is often
+    # exactly 0.  Counted as non-positive, such a zero brackets its root exactly once.
+    exact_zeros = 0
+    for dim in (Dimension.D1, Dimension.D3):
+        for s in sys.modules["becstab.variational"]._SCAN_GRID:
+            gamma = gamma_of_width(s, dim)
+            if dim is Dimension.D3 and abs(gamma + GAMMA_CRITICAL_3D) < 1e-9:
+                continue
+            exact_zeros += denergy(s, problem(dim, gamma), 1) == 0.0
+            points = stationary_points(problem(dim, gamma)).points
+            assert len(points) == (2 if dim is Dimension.D3 and gamma < 0.0 else 1), (dim, s)
+            assert any(abs(point.s - s) <= 1e-12 * s for point in points), (dim, s, points)
+            for point in points:
+                terms = slope_terms(dim, gamma, point.s)
+                bound = max(1e-10, 4.0 * sys.float_info.epsilon * sum(abs(t) for t in terms))
+                assert point.residual <= bound, (dim, s, point, bound)
+    assert exact_zeros > 0
+
+
 @settings(derandomize=True, deadline=None)
 @given(dim=st.sampled_from([Dimension.D1, Dimension.D3]),
        gamma=st.floats(min_value=-1e6, max_value=1e6))
