@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--log", action="store_true", help="log-spaced range")
     p_sweep.add_argument("--with-oracle", action="store_true",
                          help="also run the grid minimizer per row")
-    _add_output_flags(p_sweep, csv_help="CSV destination path, or - for stdout")
+    p_sweep.add_argument("--csv", type=str, help="CSV destination path, or - for stdout")
 
     p_oracle = subparsers.add_parser("oracle", help="one grid-minimizer run")
     _add_setup_flags(p_oracle)

@@ -26,18 +26,21 @@ variational energies exactly as the spacing h -> 0:
   normalisation used throughout the package.
 
 All integrals use trapezoidal weights; with both endpoint values pinned to
-zero that reduces to a plain sum, and the summation-by-parts identity makes
-the bond-difference kinetic sum equal to the 3-point second-difference form.
-Energies are per particle in units of hbar*omega, as everywhere else.
+zero that reduces to a plain sum.  Energies are per particle in units of
+hbar*omega, as everywhere else.
 
 The discrete Euler-Lagrange equation is H(u) u = mu u on the interior
 samples, with the mean-field operator
 
-    H(u) = -Delta_h / 2 + x^2 / 2 + 2 g q u^2,
+    H(u) = L + 2 g q u^2,    L = -Delta_h / 2 + x^2 / 2,
 
 where Delta_h is the Dirichlet 3-point second difference over h^2, q = 1/r^2
-and g = 2 pi Gamma in 3D, q = 1 and g = Gamma in 1D.  ``minimize`` measures
-how far a state is from solving it by the preconditioned residual
+and g = 2 pi Gamma in 3D, q = 1 and g = Gamma in 1D.  L lives in
+``_Discretisation.linear`` alone (``inverse_spectrum`` keeps its kinetic
+eigenvalues): each iterate applies it once, and the energy (kinetic + trap is
+the grid integral of u L u), the gradient and the line search reuse that L u.
+``minimize`` measures how far a state is from H(u) u = mu u by the
+preconditioned residual
 
     residual = sqrt( r . P r / u . u ),   r = H(u) u - mu u,
     mu = u . H(u) u / u . u,              P = (-Delta_h / 2 + 1)^-1,
@@ -125,7 +128,7 @@ class GridState:
 
 
 class _Discretisation:
-    """Precomputed arrays and the energy, residual and line-search kernels for one (spec, gamma)."""
+    """Arrays and kernels (energy, line search, preconditioner) for one (spec, gamma)."""
 
     def __init__(self, spec: GridSpec, gamma: float):
         self.h = spec.spacing
@@ -133,15 +136,16 @@ class _Discretisation:
         self.axis = axis
         self.sq = axis * axis
         if spec.dimension is Dimension.D3:
-            self.weight = 4.0 * math.pi
+            weight = 4.0 * math.pi
             self.int_coef = 2.0 * math.pi * gamma
             quartic = np.zeros_like(axis)
             quartic[1:] = 1.0 / self.sq[1:]   # u^4/r^2 term; u(0)=0 kills r=0
         else:
-            self.weight = 1.0
+            weight = 1.0
             self.int_coef = gamma
             quartic = np.ones_like(axis)
         self.quartic_weight = quartic
+        self.wh = weight * self.h     # grid-norm weight of every sample
 
     @cached_property
     def inverse_spectrum(self) -> np.ndarray:
@@ -164,28 +168,27 @@ class _Discretisation:
         return out / math.sqrt(norm)
 
     def norm(self, values: np.ndarray) -> float:
-        return self.weight * self.h * float(np.dot(values, values))
+        return self.wh * float(np.dot(values, values))
 
     def normalised_breakdown(self, values: np.ndarray) -> EnergyBreakdown:
         """Energy of ``values``, which must already be normalised (within 1e-9)."""
         norm = self.norm(values)
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"state is not normalised: integral of |phi|^2 = {norm!r}")
-        return self.breakdown(values)
+        return self.breakdown(values)[0]
 
-    def breakdown(self, values: np.ndarray) -> EnergyBreakdown:
-        bond = np.diff(values)
-        kinetic = 0.5 * self.weight / self.h * float(np.dot(bond, bond))
+    def breakdown(self, values: np.ndarray) -> tuple[EnergyBreakdown, np.ndarray]:
+        """Energy of ``values`` and L ``values``; kinetic + trap is the grid integral of u L u."""
+        lu = self.linear(values)
         density = values * values
-        potential = 0.5 * self.weight * self.h * float(np.dot(self.sq, density))
-        interaction = (
-            self.int_coef * self.weight * self.h
-            * float(np.dot(self.quartic_weight, density * density))
-        )
-        return EnergyBreakdown.from_parts(kinetic, potential, interaction)
+        potential = 0.5 * self.wh * float(np.dot(self.sq, density))
+        kinetic = self.wh * float(np.dot(values, lu)) - potential
+        quartic = float(np.dot(self.quartic_weight, density * density))
+        interaction = self.int_coef * self.wh * quartic
+        return EnergyBreakdown.from_parts(kinetic, potential, interaction), lu
 
     def linear(self, values: np.ndarray) -> np.ndarray:
-        """(-Delta_h/2 + x^2/2) applied to the interior; real or complex input."""
+        """L = -Delta_h/2 + x^2/2 applied to the interior: the one home of the stencil."""
         out = np.zeros_like(values)
         out[1:-1] = (
             -0.5 * (values[2:] - 2.0 * values[1:-1] + values[:-2]) / (self.h * self.h)
@@ -193,25 +196,21 @@ class _Discretisation:
         )
         return out
 
-    def hamiltonian(self, values: np.ndarray) -> np.ndarray:
-        """H(u) u; the energy gradient is 2 * weight * h times this."""
-        return self.linear(values) + 2.0 * self.int_coef * self.quartic_weight * values ** 3
-
-    def arc(self, values: np.ndarray, unit: np.ndarray) -> tuple[complex, complex]:
+    def arc(self, values: np.ndarray, lu: np.ndarray, unit: np.ndarray) -> tuple[complex, complex]:
         """Coefficients (a2, a4) of the energy along the great circle.
 
         For ``values`` and ``unit`` orthonormal in the grid norm, the energy of
         u(t) = values cos(t) + unit sin(t) = Re[z e^{it}], z = values - i unit,
-        is Re[a2 e^{2it} + a4 e^{4it}] plus a constant.
+        is Re[a2 e^{2it} + a4 e^{4it}] plus a constant.  ``lu`` is L ``values``
+        from :meth:`breakdown`; L is symmetric, so only ``unit`` still needs it.
         """
         z = values - 1j * unit
-        wh = self.weight * self.h
         qz2 = self.quartic_weight * z * z
-        a2 = 0.5 * wh * complex(
-            np.dot(z, self.linear(z))
-            + self.int_coef * np.dot(qz2, values * values + unit * unit)
-        )
-        a4 = 0.125 * wh * self.int_coef * complex(np.dot(qz2, z * z))
+        zlz = complex(float(np.dot(values, lu)) - float(np.dot(unit, self.linear(unit))),
+                      -2.0 * float(np.dot(unit, lu)))
+        quartic = complex(np.dot(qz2, values * values + unit * unit))
+        a2 = 0.5 * self.wh * (zlz + self.int_coef * quartic)
+        a4 = 0.125 * self.wh * self.int_coef * complex(np.dot(qz2, z * z))
         return a2, a4
 
     def precondition(self, values: np.ndarray) -> np.ndarray:
@@ -312,6 +311,8 @@ def minimize(
     ``on_accept(energy, values)`` is invoked after every accepted step with
     a read-only view of the live state.
     """
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
     disc = _Discretisation(spec, gamma)
     if init is not None:
         if init.spec != spec:
@@ -320,12 +321,16 @@ def minimize(
     else:
         values = sample_gaussian(spec, 1.0)
 
-    energy = disc.breakdown(values)
     iterations = 0
     direction = None
     last_pr = last_rpr = None
 
     while True:
+        energy, lu = disc.breakdown(values)
+        if iterations and on_accept is not None:
+            view = values.view()
+            view.flags.writeable = False
+            on_accept(energy.total, view)
         # A grid-scale width: collapse in 3D, a failed grid in 1D (a 1D ground state always exists).
         # On fine 3D grids collapse is a spike whose tail keeps the width wide; the energy decides.
         collapsed = (_width(energy, spec.dimension) < _COLLAPSE_WIDTH_FACTOR * disc.h
@@ -333,7 +338,7 @@ def minimize(
         if collapsed:
             converged, residual_norm = False, None
             break
-        hu = disc.hamiltonian(values)
+        hu = lu + 2.0 * disc.int_coef * disc.quartic_weight * values ** 3
         uu = float(np.dot(values, values))
         residual = hu - (float(np.dot(values, hu)) / uu) * values
         pr = disc.precondition(residual)
@@ -354,20 +359,14 @@ def minimize(
 
         length = math.sqrt(disc.norm(direction))
         unit = direction / length
-        a2, a4 = disc.arc(values, unit)
-        t = _arc_step(a2, a4)
+        t = _arc_step(*disc.arc(values, lu, unit))
         if t is None:
             break
         cos_t, sin_t = math.cos(t), math.sin(t)
         trial = cos_t * values + sin_t * unit
         direction = length * (cos_t * unit - sin_t * values)
         values = trial / math.sqrt(disc.norm(trial))
-        energy = disc.breakdown(values)
         iterations += 1
-        if on_accept is not None:
-            view = values.view()
-            view.flags.writeable = False
-            on_accept(energy.total, view)
 
     return GridState(
         values=values,

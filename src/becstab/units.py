@@ -51,7 +51,7 @@ class PhysicalSetup:
     coupling_1d: float | None = None         # B [J*m], 1D only
 
     def __post_init__(self) -> None:
-        for name in ("mass", "omega", "scattering_length", "coupling_1d"):
+        for name in ("mass", "omega", "n_atoms", "scattering_length", "coupling_1d"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")

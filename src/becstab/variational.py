@@ -265,7 +265,7 @@ def _scan_grid(problem: DimensionlessProblem) -> list[float]:
     about 1.6e-61) is rejected: its barrier width cannot be resolved.
     """
     gamma = problem.gamma_total
-    c = 2.0 * gamma / SQRT_2PI
+    c = gamma / (SQRT_2PI / 2.0)   # 2 * gamma would overflow above about 9e307
     probes = [1.0 + max(1.0, abs(c)) + 1.0]
     if problem.dimension is Dimension.D3 and gamma < 0.0:
         if (abs(c) / 2.0) ** 5 < sys.float_info.min:
@@ -354,7 +354,7 @@ def stationary_points(problem: DimensionlessProblem) -> StabilityReport:
 
     # de/ds = 3 p / (2 s^4) in 3D and p / (2 s^3) in 1D.  Nested products, not
     # powers: p overflows to inf, never to nan or an exception.
-    c = 2.0 * gamma / SQRT_2PI
+    c = gamma / (SQRT_2PI / 2.0)   # 2 * gamma would overflow above about 9e307
     if three_d:
         p, dp = (lambda s: s * (s * s * s * s - 1.0) - c), (lambda s: 5.0 * s * s * s * s - 1.0)
     else:

@@ -188,8 +188,16 @@ def test_non_finite_input_is_validation_error(argv, capsys):
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-def test_arithmetic_overflow_is_compute_failure(capsys):
-    assert run(["minimize", "--dim", "3", "--gamma", "1e300"]) == 2
+@pytest.mark.parametrize("argv", [
+    ["minimize", "--dim", "3", "--gamma", "1e300"],
+    # 2 * gamma alone overflows here; the closed form must not report s = inf or a regime
+    ["minimize", "--dim", "1", "--gamma", "1.7e308"],
+    ["minimize", "--dim", "1", "--gamma", "-1.7e308"],
+    ["minimize", "--dim", "3", "--gamma", "1.7e308"],
+    ["minimize", "--dim", "3", "--gamma", "-1.7e308"],
+])
+def test_arithmetic_overflow_is_compute_failure(argv, capsys):
+    assert run(argv) == 2
     assert capsys.readouterr().err.startswith("compute failure: OverflowError")
 
 
@@ -247,6 +255,13 @@ def test_sweep_log_range_needs_positive_start(capsys):
 def test_sweep_needs_some_range(capsys):
     assert run(["sweep", *LI7_FLAGS]) == 1
     assert "--n-list" in capsys.readouterr().err
+
+
+def test_sweep_rejects_json(capsys):
+    # sweep writes CSV only; --json is a usage error, not silently ignored
+    assert run(["sweep", *LI7_FLAGS, "--n-list", "0,500", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert "--json" in captured.err and captured.out == ""
 
 
 def test_sweep_rejects_gamma(capsys):

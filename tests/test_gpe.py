@@ -1,5 +1,6 @@
 """Grid minimizer: discretisation accuracy, descent behaviour, critical scan."""
 
+import dataclasses
 import io
 import math
 
@@ -75,6 +76,20 @@ def test_discrete_energy_rejects_unnormalised():
     object.__setattr__(bad, "values", bad.values * 1.05)
     with pytest.raises(ValueError):
         discrete_energy(bad)
+
+
+@pytest.mark.parametrize("dim", [Dimension.D3, Dimension.D1])
+@pytest.mark.parametrize("n_points", [128, 2048])
+def test_kinetic_energy_matches_the_bond_difference_sum(dim, n_points):
+    # independent reference: the kinetic term as w / (2h) * sum of squared bond
+    # differences, which equals the stencil form by summation by parts
+    spec = GridSpec(dim, 8.0, n_points)
+    weight = 4.0 * math.pi if dim is Dimension.D3 else 1.0
+    for s in (0.5, 1.0, 2.0):
+        state = gaussian_state(spec, 0.0, s=s)
+        bonds = np.diff(state.values)
+        reference = 0.5 * weight / spec.spacing * math.fsum(bonds * bonds)
+        assert discrete_energy(state).kinetic == pytest.approx(reference, rel=1e-12)
 
 
 # --- sampled Gaussians reproduce the closed forms --------------------------------------
@@ -161,6 +176,9 @@ def test_minimize_is_monotone_and_norm_preserving():
 
     out = minimize(spec, -0.3, on_accept=record)
     assert out.converged
+    # once per accepted step, the last with the returned state's energy
+    assert len(energies) == out.iterations
+    assert energies[-1] == out.energy.total
     diffs = np.diff(np.array(energies))
     assert diffs.max() <= 1e-13
     assert norms, "expected at least one norm sample"
@@ -214,11 +232,26 @@ def test_minimize_iteration_cap_reports_unconverged():
 
 
 def test_measured_width_rejects_a_stall_before_the_first_step():
-    out = minimize(FAST_3D, float("nan"))
+    # a minimizer state that stopped unconverged at its start: residual set, no flag
+    out = dataclasses.replace(gaussian_state(FAST_3D, 1.0), residual=0.5)
     assert not out.converged and not out.collapsed
     assert out.iterations == 0
     with pytest.raises(ValueError):
         measured_width(out)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+def test_minimize_rejects_a_non_finite_coupling(gamma):
+    for spec in (FAST_3D, FAST_1D):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            minimize(spec, gamma)
+
+
+@pytest.mark.parametrize("spec, gamma", [(FAST_3D, -0.3), (FAST_1D, -0.5), (FAST_3D, 2.0)])
+def test_converged_energy_is_the_discrete_energy_of_the_state(spec, gamma):
+    out = minimize(spec, gamma)
+    assert out.converged
+    assert out.energy == discrete_energy(out)   # bit for bit: one formula
 
 
 def test_minimize_supercritical_collapses():

@@ -59,7 +59,7 @@ def test_interaction_field_must_match_dimension():
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("field", ["mass", "omega", "scattering_length", "coupling_1d"])
+@pytest.mark.parametrize("field", ["mass", "omega", "scattering_length", "coupling_1d", "n_atoms"])
 def test_rejects_non_finite_setup_fields(field, value):
     dimension = Dimension.D1 if field == "coupling_1d" else Dimension.D3
     kwargs = dict(mass=LI7_MASS, omega=OMEGA_120, dimension=dimension)
@@ -77,7 +77,10 @@ def test_dimensionless_problem_rejects_non_finite_coupling(gamma):
 
 
 def test_reduce_rejects_infinite_atom_number():
-    setup = li7_setup(n_atoms=math.inf)    # N >= 0 holds, so the setup itself is accepted
+    with pytest.raises(ValueError, match="n_atoms must be finite"):
+        li7_setup(n_atoms=math.inf)
+    # a finite N can still overflow the coupling: a/a_ho is about 3.8 at 10 GHz
+    setup = li7_setup(n_atoms=1e308, freq_hz=1e10)
     with pytest.raises(ValueError, match="finite"):
         reduce(setup)
 
