@@ -346,6 +346,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         "interaction": state.energy.interaction,
         "total": state.energy.total,
         "width": gpe.measured_width(state) if state.converged else None,
+        "residual": state.residual,
     }
     if args.json:
         _print_json(payload)

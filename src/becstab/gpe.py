@@ -49,7 +49,12 @@ preconditioned residual
 when it is at most 1e-6.  P is applied exactly in O(n) memory: the discrete
 sine transform (DST-I), built from the real FFT of the odd extension,
 diagonalises Delta_h.  A run is ``collapsed`` once its rms width is below 4h,
-or in 3D once its energy is below -1e3.  In 1D that means the grid is too coarse.
+or in 3D once its energy is below 0.  In 1D that means the grid is too coarse.
+The 3D floor is the virial theorem of the trapped gas: 2K - 2V + 3I = 0 at
+every stationary state, so E = K/3 + 5V/3 >= sqrt(5)/2 there (K V >= 9/16 by
+the uncertainty relation), and on the grid to O(h^2).  Accepted energies only
+fall, so a 3D run whose energy is negative can never end at a stationary
+state.  The 1D virial, 2K - 2V + I = 0, allows E < 0: 1D has no energy floor.
 """
 
 from __future__ import annotations
@@ -68,9 +73,10 @@ from .variational import EnergyBreakdown
 DEFAULT_MAX_ITER = 500_000
 # A run is ``converged`` once the preconditioned residual is at most this.
 _RESIDUAL_TOL = 1e-6
-# Collapse thresholds: the rms width in grid spacings, and the energy floor in 3D.
+# Collapse thresholds: the rms width in grid spacings, and the energy floor in 3D,
+# where the virial theorem puts every stationary state at E = K/3 + 5V/3 > 0.
 _COLLAPSE_WIDTH_FACTOR = 4.0
-_COLLAPSE_ENERGY = -1e3
+_COLLAPSE_ENERGY = 0.0
 _NORM_TOL = 1e-9
 
 
@@ -303,7 +309,9 @@ def minimize(
     along the search direction; or ``max_iter`` accepted steps.  A stall or
     the cap sets neither flag and raises no exception.  The returned state's
     ``residual`` is that of its ``values``, except on a collapse, which
-    skips it (it can overflow there) and returns None.  For attractive
+    skips it (it can overflow there) and returns None.  In 3D the default
+    s = 1 start has energy 3/2 + Gamma / sqrt(2 pi) (to O(h^2)), so below
+    Gamma ~ -3.76 it is already collapsed and no step is taken.  For attractive
     couplings the default Gaussian start lies in the metastable basin, and
     the energy falls along every accepted arc, so the local minimum is
     found, never the global descent.
@@ -332,7 +340,8 @@ def minimize(
             view.flags.writeable = False
             on_accept(energy.total, view)
         # A grid-scale width: collapse in 3D, a failed grid in 1D (a 1D ground state always exists).
-        # On fine 3D grids collapse is a spike whose tail keeps the width wide; the energy decides.
+        # In 3D a negative energy is past every stationary state (virial); on fine grids it
+        # decides long before the spike's width reaches 4h, since its tail keeps the width wide.
         collapsed = (_width(energy, spec.dimension) < _COLLAPSE_WIDTH_FACTOR * disc.h
                      or spec.dimension is Dimension.D3 and energy.total < _COLLAPSE_ENERGY)
         if collapsed:

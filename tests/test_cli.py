@@ -314,6 +314,18 @@ def test_oracle_collapse_is_reported_not_failed(capsys):
     assert "collapsed: True" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("gamma, collapsed", [("0", False), ("-1.0", True)])
+def test_oracle_json_reports_the_residual(capsys, gamma, collapsed):
+    assert run(["oracle", "--dim", "3", "--gamma", gamma,
+                "--n-points", "128", "--r-max", "6", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["collapsed"] is collapsed
+    if collapsed:
+        assert payload["residual"] is None     # a collapse skips the residual
+    else:
+        assert 0.0 <= payload["residual"] <= 1e-6
+
+
 def test_oracle_reports_a_start_state_that_has_collapsed(capsys):
     # the Gaussian start is already far below the 3D energy floor
     assert run(["oracle", "--dim", "3", "--gamma", "-1e300",

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from becstab import (
     Dimension,
@@ -259,9 +261,24 @@ def test_minimize_supercritical_collapses():
     assert out.collapsed and not out.converged
     with pytest.raises(ValueError):
         measured_width(out)
-    # on a coarse 3D grid the spike never reaches the energy floor: the width rule decides
+    # a coarse 3D grid collapses too; its energy turns negative at step 3
     coarse = minimize(GridSpec(Dimension.D3, 6.0, 64), -1.5)
     assert coarse.collapsed and coarse.energy.total > -1e3
+    # here the width rule decides: the spike is narrower than 4 h while E is still positive
+    spec = GridSpec(Dimension.D3, 8.0, 64)
+    spike = minimize(spec, -0.7)
+    assert spike.collapsed and not spike.converged
+    assert math.sqrt(4.0 * spike.energy.potential / 3.0) < 4.0 * spec.spacing
+    assert spike.energy.total >= 0.0
+
+
+def test_collapsing_run_stops_at_its_first_negative_energy():
+    energies = []
+    out = minimize(GridSpec(Dimension.D3), -1.0, on_accept=lambda energy, values: energies.append(energy))
+    assert out.collapsed
+    assert len(energies) == out.iterations and energies[-1] == out.energy.total
+    assert min(energies[:-1]) >= 0.0 > energies[-1]
+    assert np.diff(energies).max() <= 1e-13
 
 
 def test_minimize_checks_the_start_state_for_collapse():
@@ -270,6 +287,43 @@ def test_minimize_checks_the_start_state_for_collapse():
     assert out.collapsed and not out.converged
     assert out.iterations == 0
     assert out.residual is None     # skipped: it would overflow
+
+
+@pytest.mark.parametrize("gamma, start_collapsed", [(-4.0, True), (-3.6, False)])
+def test_start_state_below_the_energy_floor(gamma, start_collapsed):
+    # the s = 1 start has E = 3/2 + gamma / sqrt(2 pi), negative below gamma = -1.5 sqrt(2 pi)
+    start = gaussian_state(FAST_3D, gamma)
+    out = minimize(FAST_3D, gamma)
+    assert out.collapsed
+    assert (start.energy.total < 0.0) == start_collapsed
+    if start_collapsed:
+        assert out.iterations == 0 and out.energy == start.energy
+    else:
+        assert out.iterations >= 1
+
+
+# Each example is one minimizer run of at most about 20 ms; 40 examples take about 0.3 s.
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(n_points=st.integers(64, 256), r_max=st.floats(6.0, 12.0),
+       gamma=st.floats(-0.55, 100.0))
+@example(n_points=64, r_max=9.0, gamma=-0.55)     # coarse grid near the fold: 1.4 h^2
+@example(n_points=256, r_max=6.0, gamma=100.0)    # the cloud reaches the wall
+def test_converged_3d_states_obey_the_virial_theorem(n_points, r_max, gamma):
+    # The 3D energy floor rests on this: a stationary state has 2K - 2V + 3I = 0, so
+    # E = K/3 + 5V/3 > 0.  On the grid the identity holds to O(h^2), plus the pressure
+    # W = 2 pi R u'(R)^2 of the Dirichlet wall at R = r_max, which matters only when the
+    # cloud reaches it (about 7e-4 at gamma = 100, r_max = 6).
+    spec = GridSpec(Dimension.D3, r_max, n_points)
+    out = minimize(spec, gamma)
+    # a coarse grid moves the fold above -0.55 (n = 64, r_max = 12): such a run collapses
+    assume(not out.collapsed)
+    assert out.converged
+    e = out.energy
+    assert e.total > 0.0
+    h = spec.spacing
+    wall = 2.0 * math.pi * r_max * (out.values[-2] / h) ** 2
+    # measured: at most 1.5 h^2, on coarse grids next to the fold
+    assert abs(2.0 * e.kinetic - 2.0 * e.potential + 3.0 * e.interaction - wall) <= 2.0 * h * h
 
 
 @pytest.mark.parametrize("spec, gamma, resolved", [
