@@ -13,7 +13,6 @@ from .units import (
     HBAR,
     Dimension,
     DimensionlessProblem,
-    OscillatorScales,
     PhysicalSetup,
     derive_scales,
     n_from_gamma,
@@ -34,9 +33,7 @@ from .variational import (
     denergy,
     gamma_of_width,
     n_max_physical,
-    n_of_sigma,
     stationary_points,
-    total_energy_si,
 )
 from .sweep import CSV_HEADER, SweepRow, comparison_row, dump_profile, emit_csv, parse_csv, sweep
 
@@ -60,13 +57,12 @@ def __getattr__(name: str):
 
 __all__ = [
     # units
-    "ATOMIC_MASS", "HBAR", "Dimension", "DimensionlessProblem", "OscillatorScales",
-    "PhysicalSetup", "derive_scales", "n_from_gamma", "parse_config", "reduce",
-    "setup_from_mapping",
+    "ATOMIC_MASS", "HBAR", "Dimension", "DimensionlessProblem", "PhysicalSetup",
+    "derive_scales", "n_from_gamma", "parse_config", "reduce", "setup_from_mapping",
     # variational
     "GAMMA_CRITICAL_3D", "S_MIN_3D", "CriticalNumber", "EnergyBreakdown", "PointKind",
     "Regime", "StabilityReport", "StationaryPoint", "ansatz_energy", "denergy",
-    "gamma_of_width", "n_max_physical", "n_of_sigma", "stationary_points", "total_energy_si",
+    "gamma_of_width", "n_max_physical", "stationary_points",
     # gpe
     *_GPE_NAMES,
     # sweep

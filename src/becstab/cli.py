@@ -15,17 +15,21 @@ file (flags win), or from the dimensionless shortcut ``--gamma`` + ``--dim``.
 Exit status: 0 success, 1 validation error (including non-finite input),
 2 compute failure (an unconverged grid run or an arithmetic overflow).
 A stdout closed early (``| head``) ends the run quietly with status 1.
+The ``minimize`` and ``oracle`` JSON keys are the fields of their result types
+(``StabilityReport``; ``GridState``, plus the measured ``width``).
 Only ``oracle``, ``compare`` and oracle or range sweeps import numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import re
 import sys
+from enum import Enum
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Optional, Sequence, Union
 
@@ -44,7 +48,6 @@ from .units import (
 from .variational import (
     GAMMA_CRITICAL_3D,
     S_MIN_3D,
-    StabilityReport,
     n_max_physical,
     stationary_points,
 )
@@ -233,33 +236,33 @@ def _cmd_critical(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_payload(report: StabilityReport) -> dict:
-    return {
-        "dimension": report.problem.dimension.value,
-        "gamma": report.problem.gamma_total,
-        "regime": report.regime.value,
-        "s_min_critical": report.s_min_critical,
-        "gamma_critical": report.gamma_critical,
-        "points": [
-            {
-                "s": point.s,
-                "kind": point.kind.value,
-                "kinetic": point.energy.kinetic,
-                "potential": point.energy.potential,
-                "interaction": point.energy.interaction,
-                "total": point.energy.total,
-                "residual": point.residual,
-            }
-            for point in report.points
-        ],
-    }
+def _fields(result) -> dict:
+    """JSON payload of a result dataclass, field by field.
+
+    Nested dataclasses merge into their parent, tuples of them become lists,
+    enums give their values, arrays (anything with a ``shape``) are left out,
+    and ``gamma_total`` is written as ``gamma``.
+    """
+    payload: dict = {}
+    for field in dataclasses.fields(result):
+        value = getattr(result, field.name)
+        if hasattr(value, "shape"):
+            continue
+        if dataclasses.is_dataclass(value):
+            payload.update(_fields(value))
+        elif isinstance(value, tuple):
+            payload[field.name] = [_fields(item) for item in value]
+        else:
+            key = "gamma" if field.name == "gamma_total" else field.name
+            payload[key] = value.value if isinstance(value, Enum) else value
+    return payload
 
 
 def _cmd_minimize(args: argparse.Namespace) -> int:
     problem, _ = _build_problem(args)
     report = stationary_points(problem)
     if args.json:
-        _print_json(_report_payload(report))
+        _print_json(_fields(report))
         return 0
     print(f"dimension: {problem.dimension.value}   gamma: {problem.gamma_total!r}")
     print(f"regime:    {report.regime.value}")
@@ -335,19 +338,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     from . import gpe
     problem, _ = _build_problem(args)
     state, failure = _grid_run(args, problem)
-    payload = {
-        "dimension": problem.dimension.value,
-        "gamma": problem.gamma_total,
-        "converged": state.converged,
-        "collapsed": state.collapsed,
-        "iterations": state.iterations,
-        "kinetic": state.energy.kinetic,
-        "potential": state.energy.potential,
-        "interaction": state.energy.interaction,
-        "total": state.energy.total,
-        "width": gpe.measured_width(state) if state.converged else None,
-        "residual": state.residual,
-    }
+    payload = {**_fields(state),
+               "width": gpe.measured_width(state) if state.converged else None}
     if args.json:
         _print_json(payload)
     else:

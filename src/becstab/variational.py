@@ -31,7 +31,6 @@ from .units import (
     PhysicalSetup,
     derive_scales,
     n_from_gamma,
-    reduce,
 )
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -181,14 +180,8 @@ def denergy(s: float, problem: DimensionlessProblem, order: int = 1) -> float:
     return 1.5 / s**4 + 0.5 + 2.0 * gamma / (SQRT_2PI * s**3)
 
 
-def total_energy_si(energy: EnergyBreakdown, setup: PhysicalSetup) -> float:
-    """Total (not per-particle) energy in joules: N * hbar*omega * e."""
-    return setup.n_atoms * derive_scales(setup).energy_hw * energy.total
-
-
 def gamma_of_width(s: float, dimension: Dimension) -> float:
-    """Coupling whose energy is stationary at width ``s`` (dimensionless twin
-    of :func:`n_of_sigma`).
+    """Coupling whose energy is stationary at width ``s``.
 
     Solves de/ds = 0 for Gamma:  sqrt(2 pi) (s^4 - 1) / (2 s) in 1D,
     sqrt(2 pi) (s^5 - s) / 2 in 3D.
@@ -198,24 +191,6 @@ def gamma_of_width(s: float, dimension: Dimension) -> float:
     if dimension is Dimension.D3:
         return SQRT_2PI * (s**5 - s) / 2.0
     return SQRT_2PI * (s**4 - 1.0) / (2.0 * s)
-
-
-def n_of_sigma(sigma: float, setup: PhysicalSetup) -> float:
-    """Atom number whose energy is stationary at dimensional width ``sigma`` [m].
-
-    ``gamma_of_width(sigma / a_ho)`` divided by the coupling of one atom, so
-    it equals :func:`~becstab.units.n_from_gamma` of that coupling wherever
-    that is defined.  Unlike it, this may return 0 (sigma = a_ho) or a
-    negative number, meaning no physical atom number makes ``sigma``
-    stationary.
-    """
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    per_atom = reduce(setup.with_n(1.0)).gamma_total
-    if per_atom == 0.0:
-        raise ValueError("zero interaction: every width is stationary only at N=0")
-    s = sigma / derive_scales(setup).length_aho
-    return gamma_of_width(s, setup.dimension) / per_atom
 
 
 def n_max_physical(setup: PhysicalSetup) -> CriticalNumber:

@@ -6,7 +6,8 @@ import becstab
 import becstab.gpe  # noqa: F401  (loaded on first use; the sys.modules lookups need it)
 from becstab import CriticalNumber
 
-FOLDED = ("GaussianAnsatz", "CriticalPoint", "critical_3d", "energy_1d", "energy_3d")
+FOLDED = ("GaussianAnsatz", "CriticalPoint", "critical_3d", "energy_1d", "energy_3d",
+          "n_of_sigma", "total_energy_si")
 
 
 def test_every_exported_name_resolves_once():
@@ -22,6 +23,12 @@ def test_folded_wrappers_are_gone():
         assert not hasattr(becstab, name)
         assert not hasattr(variational, name)
     assert not hasattr(CriticalNumber, "n_max")
+
+
+def test_oscillator_scales_is_not_exported():
+    # derive_scales still returns it; the class lives in units only
+    assert "OscillatorScales" not in becstab.__all__
+    assert not hasattr(becstab, "OscillatorScales")
 
 
 def test_dump_profile_lives_with_the_other_csv_writer():

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from becstab import CSV_HEADER, Dimension, GridSpec, gaussian_state, parse_csv
+from becstab import (CSV_HEADER, Dimension, EnergyBreakdown, GridSpec, GridState, gaussian_state,
+                     parse_csv)
 from becstab.cli import _unconverged_message, run
 
 LI7_FLAGS = ["--mass-amu", "7.016", "--freq-hz", "120",
@@ -114,6 +115,17 @@ def test_minimize_si_setup(capsys):
     out = capsys.readouterr().out
     assert "attractive_subcritical" in out
     assert "maximum" in out and "minimum" in out
+
+
+def test_minimize_json_keys_are_the_report_fields(capsys):
+    assert run(["minimize", "--dim", "3", "--gamma", "-0.3", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"dimension", "gamma", "points", "regime",
+                            "s_min_critical", "gamma_critical"}
+    assert [point["kind"] for point in payload["points"]] == ["maximum", "minimum"]
+    for point in payload["points"]:
+        assert set(point) == {"s", "kind", "kinetic", "potential", "interaction", "total",
+                              "residual"}
 
 
 # --- validation errors --------------------------------------------------------------
@@ -324,6 +336,20 @@ def test_oracle_json_reports_the_residual(capsys, gamma, collapsed):
         assert payload["residual"] is None     # a collapse skips the residual
     else:
         assert 0.0 <= payload["residual"] <= 1e-6
+
+
+@pytest.mark.parametrize("dim", ["1", "3"])
+def test_oracle_json_keys_are_the_state_fields(dim, capsys):
+    assert run(["oracle", "--dim", dim, "--gamma", "0", "--n-points", "128", "--r-max", "6",
+                "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    # A list, not a set: a merged key that overwrote another would show as a missing key.
+    names = [field.name for cls in (GridState, GridSpec, EnergyBreakdown)
+             for field in dataclasses.fields(cls)
+             if field.name not in ("values", "spec", "energy", "gamma_total")]
+    assert sorted(payload) == sorted([*names, "gamma", "width"])
+    assert payload["dimension"] == int(dim) and payload["n_points"] == 128
+    assert not [value for value in payload.values() if isinstance(value, list)]   # no grid arrays
 
 
 def test_oracle_reports_a_start_state_that_has_collapsed(capsys):

@@ -428,3 +428,16 @@ def test_dump_profile_1d(tmp_path):
     data = np.array([[float(tok) for tok in line.split(",")] for line in lines[1:]])
     norm = np.trapezoid(data[:, 1], data[:, 0])
     assert norm == pytest.approx(1.0, abs=1e-3)
+
+
+def test_dump_profile_3d_origin_density():
+    # The r = 0 row estimates phi(0)^2 = (pi s^2)^(-3/2) from u'(0); its error is ~ -(h/s)^2.
+    for n_points in (64, 128, 512):
+        spec = GridSpec(Dimension.D3, n_points=n_points)
+        for s in (0.5, 1.0, 1.5):
+            sink = io.StringIO()
+            dump_profile(gaussian_state(spec, 0.0, s), sink)
+            r0, density = map(float, sink.getvalue().splitlines()[1].split(","))
+            assert r0 == 0.0
+            exact = (math.pi * s * s) ** -1.5
+            assert density == pytest.approx(exact, rel=1.5 * (spec.spacing / s) ** 2), (n_points, s)

@@ -1,5 +1,6 @@
 """Gaussian-ansatz energies, derivatives, branch structure and critical point."""
 
+import dataclasses
 import math
 import sys
 
@@ -19,14 +20,11 @@ from becstab import (
     Regime,
     ansatz_energy,
     denergy,
-    derive_scales,
     gamma_of_width,
     n_from_gamma,
     n_max_physical,
-    n_of_sigma,
     reduce,
     stationary_points,
-    total_energy_si,
 )
 from helpers import attractive_3d_roots, central_difference, locate_double_root, scan_roots
 
@@ -106,13 +104,6 @@ def test_gaussian_ansatz_dispatches_by_dimension():
     assert ansatz_energy(2.0, problem(Dimension.D1, 0.0)).total == 1.0625
 
 
-def test_total_energy_si_accessor():
-    setup = LI7.with_n(1000.0)
-    e = energy(Dimension.D3, 1.0, 0.0)
-    expected = 1000.0 * derive_scales(setup).energy_hw * 1.5
-    assert total_energy_si(e, setup) == pytest.approx(expected, rel=1e-15)
-
-
 def test_degeneracy_at_critical_point():
     # at (s, Gamma) = (5^(-1/4), -Gamma_crit) both derivatives vanish
     p = problem(Dimension.D3, -GAMMA_CRITICAL_3D)
@@ -158,40 +149,16 @@ def test_denergy_matches_finite_difference_random():
             )
 
 
-# --- stationary widths as atom-number curves ----------------------------------------
+# --- the coupling that makes a width stationary ---------------------------------------
 
-def test_n_of_sigma_vanishes_at_oscillator_length():
-    aho = derive_scales(LI7).length_aho
-    assert abs(n_of_sigma(aho, LI7)) < 1e-6
-
-
-def test_n_of_sigma_zero_interaction_rejected():
-    setup = PhysicalSetup(mass=LI7.mass, omega=LI7.omega, dimension=Dimension.D1,
-                          coupling_1d=0.0)
-    with pytest.raises(ValueError):
-        n_of_sigma(1e-6, setup)
-    with pytest.raises(ValueError):
-        n_of_sigma(-1e-6, LI7)
+def test_gamma_of_width_vanishes_at_oscillator_length():
+    for dim in (Dimension.D1, Dimension.D3):
+        assert gamma_of_width(1.0, dim) == 0.0
 
 
-def test_n_of_sigma_monotone_repulsive_3d():
-    repulsive = PhysicalSetup(mass=LI7.mass, omega=LI7.omega, dimension=Dimension.D3,
-                              scattering_length=+5e-9)
-    aho = derive_scales(repulsive).length_aho
-    widths = aho * np.geomspace(1.0, 100.0, 200)
-    numbers = [n_of_sigma(s, repulsive) for s in widths]
-    assert all(b > a for a, b in zip(numbers, numbers[1:]))
-    assert numbers[0] == pytest.approx(0.0, abs=1e-6)
-    assert numbers[-1] > 1e6   # grows without bound
-    # below the oscillator length no repulsive cloud is stationary
-    assert n_of_sigma(0.5 * aho, repulsive) < 0.0
-
-
-def test_n_of_sigma_critical_width_gives_n_max():
-    aho = derive_scales(LI7).length_aho
-    n_at_min_width = n_of_sigma(S_MIN_3D * aho, LI7)
-    critical = n_max_physical(LI7)
-    assert n_at_min_width == pytest.approx(critical.n_direct, rel=1e-12)
+def test_critical_width_gives_n_max():
+    n_at_min_width = n_from_gamma(gamma_of_width(S_MIN_3D, Dimension.D3), LI7)
+    assert n_at_min_width == pytest.approx(n_max_physical(LI7).n_direct, rel=1e-12)
 
 
 def test_gamma_of_width_consistency():
@@ -202,34 +169,14 @@ def test_gamma_of_width_consistency():
         for dim in (Dimension.D1, Dimension.D3):
             gamma = gamma_of_width(s, dim)
             assert abs(denergy(s, problem(dim, gamma), 1)) < 1e-12
-    # and matches the SI route through any trap
-    aho = derive_scales(LI7).length_aho
+    # and matches the SI route through a trap whose interaction has gamma's sign
+    repulsive = dataclasses.replace(LI7, scattering_length=-LI7.scattering_length)
     for s in (0.7, 0.9, 1.3):
-        n = n_of_sigma(s * aho, LI7)
         gamma = gamma_of_width(s, Dimension.D3)
-        assert reduce(LI7.with_n(abs(n))).gamma_total * math.copysign(1.0, n) == pytest.approx(
-            gamma, rel=1e-10)
-
-
-def test_n_of_sigma_is_n_from_gamma_of_gamma_of_width():
-    rng = np.random.default_rng(11)
-    defined = 0
-    for dim, field in ((Dimension.D3, "scattering_length"), (Dimension.D1, "coupling_1d")):
-        for strength in (-1.45e-9, 5.3e-9) if dim is Dimension.D3 else (-4.5e-40, 4.5e-40):
-            setup = PhysicalSetup(mass=LI7.mass, omega=LI7.omega, dimension=dim,
-                                  **{field: strength})
-            aho = derive_scales(setup).length_aho
-            for s in [1.0, *rng.uniform(0.05, 4.0, 50)]:
-                sigma = float(s) * aho
-                try:
-                    expected = n_from_gamma(gamma_of_width(sigma / aho, dim), setup)
-                except ValueError:
-                    # undefined there: no non-negative N makes sigma stationary
-                    assert n_of_sigma(sigma, setup) <= 0.0
-                    continue
-                defined += 1
-                assert n_of_sigma(sigma, setup) == pytest.approx(expected, rel=1e-12)
-    assert defined > 50
+        setup = LI7 if gamma < 0.0 else repulsive
+        n = n_from_gamma(gamma, setup)
+        assert n > 0.0
+        assert reduce(setup.with_n(n)).gamma_total == pytest.approx(gamma, rel=1e-10)
 
 
 # --- stationary_points ---------------------------------------------------------------
@@ -479,6 +426,30 @@ def test_stationary_points_property_any_finite_coupling(dim, gamma):
         terms = slope_terms(dim, gamma, point.s)
         bound = max(1e-10, 4.0 * sys.float_info.epsilon * sum(abs(t) for t in terms))
         assert point.residual <= bound, (point, bound)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(dim=st.sampled_from([Dimension.D1, Dimension.D3]),
+       sign=st.sampled_from([-1.0, 1.0]),
+       exponent=st.floats(min_value=-6.0, max_value=3.0))
+def test_gamma_of_width_recovers_the_coupling_of_every_point(dim, sign, exponent):
+    # gamma_of_width(s) - Gamma is sqrt(2 pi)/2 p(s) in 3D and sqrt(2 pi) p(s)/(2 s) in 1D,
+    # p the stationarity polynomial, so the residual bounds it; the 8 eps term covers
+    # the rounding of gamma_of_width's terms and of Gamma.
+    gamma = sign * 10.0 ** exponent
+    report = stationary_points(problem(dim, gamma))
+    if report.regime is Regime.ATTRACTIVE_CRITICAL:
+        return      # its point sits at S_MIN_3D by construction
+    eps = sys.float_info.epsilon
+    for point in report.points:
+        s = point.s
+        if dim is Dimension.D3:
+            bound = SQRT_2PI * s**4 / 3.0 * point.residual + 8.0 * eps * (
+                SQRT_2PI / 2.0 * (s**5 + s) + abs(gamma))
+        else:
+            bound = SQRT_2PI * s * s * point.residual + 8.0 * eps * (
+                SQRT_2PI / 2.0 * (s**3 + 1.0 / s) + abs(gamma))
+        assert abs(gamma_of_width(s, dim) - gamma) <= bound, (point, bound)
 
 
 # --- critical point -------------------------------------------------------------------
