@@ -220,10 +220,10 @@ def n_max_physical(setup: PhysicalSetup) -> CriticalNumber:
 # --- stationary-point finder ---------------------------------------------------
 
 def _scan_grid(problem: DimensionlessProblem) -> list[float]:
-    """Bracketing grid for de/ds: log-spaced points plus guaranteed probes.
+    """Bracketing grid for p: log-spaced points plus guaranteed probes.
 
-    de/ds has the sign, and so the positive roots, of the polynomial p that
-    :func:`stationary_points` refines, with c = 2 Gamma / sqrt(2 pi).
+    The scan reads the signs of the polynomial p that :func:`stationary_points`
+    refines, with c = 2 Gamma / sqrt(2 pi); de/ds has the same sign and roots.
     The probes pin a grid point on the known-sign side of every root so a
     sign change can never fall between samples:
 
@@ -235,9 +235,9 @@ def _scan_grid(problem: DimensionlessProblem) -> list[float]:
     * A point beyond the Cauchy root bound 1 + max(1, |c|) is always past
       the largest root.
 
-    An attractive 3D coupling so weak that |c|/2, raised to the fifth power
-    inside :func:`denergy`, leaves the normal float64 range (|Gamma| below
-    about 1.6e-61) is rejected: its barrier width cannot be resolved.
+    An attractive 3D coupling with (|c|/2)^5 below the normal float64 range
+    (|Gamma| under about 1.6e-61) is still rejected, though p stays finite: the
+    barrier width ~|c| takes its residual from 1/s^4 in :func:`denergy`.
     """
     gamma = problem.gamma_total
     c = gamma / (SQRT_2PI / 2.0)   # 2 * gamma would overflow above about 9e307
@@ -294,6 +294,17 @@ def _stationary_point(s: float, kind: PointKind, problem: DimensionlessProblem) 
     )
 
 
+def _resolved(report: StabilityReport) -> bool:
+    """Whether every point meets the StationaryPoint bound, and 1D or repulsive has one."""
+    gamma, d = report.problem.gamma_total, report.problem.dimension.value
+    for point in report.points:
+        s = point.s     # sum |terms of de/ds| = d (1/(2s^3) + s/2 + |Gamma|/(sqrt(2 pi) s^(d+1)))
+        scale = d * (0.5 / s**3 + 0.5 * s + abs(gamma) / (SQRT_2PI * s ** (d + 1)))
+        if not point.residual <= max(1e-10, 4.0 * sys.float_info.epsilon * scale) < math.inf:
+            return False
+    return len(report.points) == 1 or (d == 3 and gamma < 0.0)
+
+
 def _critical_report(problem: DimensionlessProblem) -> StabilityReport:
     # Degenerate double root: de/ds and d2e/ds2 both vanish at s = 5^(-1/4).
     # The third derivative is positive there, so the point is the limit of the
@@ -313,12 +324,14 @@ def _critical_report(problem: DimensionlessProblem) -> StabilityReport:
 def stationary_points(problem: DimensionlessProblem) -> StabilityReport:
     """All roots of de/ds on (0, inf), classified and bundled with the regime.
 
-    Each sign change of de/ds on the scan grid of :func:`_scan_grid`, with 0
-    counted as non-positive, brackets one root.  A safeguarded Newton refines
-    it on p, the polynomial that shares those roots and signs.  A change from
-    - to + is a MINIMUM, from + to - a MAXIMUM.  Zero roots is a valid
-    outcome (3D attractive past the critical coupling).  Every point meets
-    the residual bound stated on :class:`StationaryPoint`.
+    Each sign change of p, which shares the roots and signs of de/ds, on the
+    scan grid of :func:`_scan_grid`, with 0 counted as non-positive, brackets
+    one root; a safeguarded Newton on p refines it.  A change from - to + is a
+    MINIMUM, from + to - a MAXIMUM.  Zero roots is a valid outcome (3D
+    attractive past the critical coupling).  Every point meets the residual
+    bound stated on :class:`StationaryPoint`, and a 1D or repulsive problem
+    has exactly one: a report that breaks either, where p near the root of a
+    huge |Gamma| overflows or rounds away its constant, raises OverflowError.
     """
     gamma = problem.gamma_total
     three_d = problem.dimension is Dimension.D3
@@ -336,7 +349,7 @@ def stationary_points(problem: DimensionlessProblem) -> StabilityReport:
         p, dp = (lambda s: s * (s * s * s - c) - 1.0), (lambda s: 4.0 * s * s * s - c)
 
     grid = _scan_grid(problem)
-    values = [denergy(s, problem, 1) for s in grid]
+    values = [p(s) for s in grid]
     points = tuple(
         _stationary_point(_refine(p, dp, lo, hi),
                           PointKind.MINIMUM if right > 0.0 else PointKind.MAXIMUM, problem)
@@ -354,10 +367,13 @@ def stationary_points(problem: DimensionlessProblem) -> StabilityReport:
     else:
         regime = Regime.ATTRACTIVE_COLLAPSED
 
-    return StabilityReport(
+    report = StabilityReport(
         problem=problem,
         points=points,
         regime=regime,
         s_min_critical=S_MIN_3D if attractive_3d else None,
         gamma_critical=GAMMA_CRITICAL_3D if attractive_3d else None,
     )
+    if not _resolved(report):
+        raise OverflowError(f"coupling {gamma!r}: float64 cannot resolve its stationary widths")
+    return report

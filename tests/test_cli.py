@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import re
 import shutil
@@ -201,7 +202,8 @@ def test_non_finite_input_is_validation_error(argv, capsys):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("argv", [
-    ["minimize", "--dim", "3", "--gamma", "1e300"],
+    # 3 * gamma overflows in the residual bound here, though c and the root are finite
+    ["minimize", "--dim", "3", "--gamma", "1e308"],
     # 2 * gamma alone overflows here; the closed form must not report s = inf or a regime
     ["minimize", "--dim", "1", "--gamma", "1.7e308"],
     ["minimize", "--dim", "1", "--gamma", "-1.7e308"],
@@ -211,6 +213,20 @@ def test_non_finite_input_is_validation_error(argv, capsys):
 def test_arithmetic_overflow_is_compute_failure(argv, capsys):
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("compute failure: OverflowError")
+
+
+def test_huge_repulsive_coupling_gets_its_width(capsys):
+    # s^5 - s = c with c = 2 Gamma / sqrt(2 pi) ~ 8e299: s = c^(1/5) to within c^(-4/5) / 5
+    gamma = 1e300
+    assert run(["minimize", "--dim", "3", "--gamma", "1e300", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["regime"] == "repulsive_stable"
+    [point] = payload["points"]
+    s = point["s"]
+    assert point["kind"] == "minimum"
+    assert s == pytest.approx((2.0 * gamma / math.sqrt(2.0 * math.pi)) ** 0.2, rel=1e-12)
+    terms = (1.5 / s**3, 1.5 * s, 3.0 * gamma / (math.sqrt(2.0 * math.pi) * s**4))
+    assert point["residual"] <= max(1e-10, 4.0 * sys.float_info.epsilon * sum(terms))
 
 
 # --- config file ---------------------------------------------------------------------

@@ -214,6 +214,26 @@ def test_minimize_starts_anywhere_monotone():
     assert out.energy.total == pytest.approx(ref.energy.total, abs=1e-7)
 
 
+@pytest.mark.parametrize("spec, gamma, budget", [
+    (GridSpec(Dimension.D3, 8.0, 128), -0.5, 74),     # 37 steps; steepest descent takes 317
+    (GridSpec(Dimension.D1, 8.0, 256), -3.0, 80),     # 40 steps; steepest descent takes 242
+])
+def test_cold_runs_converge_within_a_step_budget(spec, gamma, budget):
+    # step counts, not seconds: twice today's count still tells conjugate
+    # gradient from steepest descent, whose outcomes are the same
+    out = minimize(spec, gamma)
+    assert out.converged
+    assert out.iterations <= budget
+
+
+def test_arc_step_refuses_a_step_that_does_not_descend():
+    from becstab.gpe import _arc_step
+
+    # f(t) = -cos(2t) - 1e-300 sin(2t) starts downhill, but its first minimum, at
+    # t ~ 5e-301, lies about 1e-600 below f(0): the drop rounds to 0, so no step
+    assert _arc_step(complex(-1.0, 1e-300), 0j) is None
+
+
 def test_minimize_rejects_foreign_init():
     with pytest.raises(ValueError):
         minimize(FAST_3D, 0.0, init=gaussian_state(FAST_1D, 0.0))

@@ -364,17 +364,23 @@ def test_residual_meets_the_stated_contract():
 
 
 def test_roots_on_scan_points_are_found_once():
-    # Gamma = gamma_of_width(s_i) puts a root on scan point s_i, where de/ds is often
-    # exactly 0.  Counted as non-positive, such a zero brackets its root exactly once.
+    # Gamma = gamma_of_width(s_i) puts a root on scan point s_i, where the scanned
+    # polynomial p (s^5 - s - c in 3D, s^4 - c s - 1 in 1D, c = 2 Gamma / sqrt(2 pi),
+    # in nested form) is often exactly 0.  Counted as non-positive, such a zero
+    # brackets its root exactly once, with the kind of the sign change it sits in.
     exact_zeros = 0
     for dim in (Dimension.D1, Dimension.D3):
         for s in sys.modules["becstab.variational"]._SCAN_GRID:
             gamma = gamma_of_width(s, dim)
             if dim is Dimension.D3 and abs(gamma + GAMMA_CRITICAL_3D) < 1e-9:
                 continue
-            exact_zeros += denergy(s, problem(dim, gamma), 1) == 0.0
+            c = gamma / (SQRT_2PI / 2.0)
+            exact_zeros += (s * (s * s * s * s - 1.0) - c if dim is Dimension.D3
+                            else s * (s * s * s - c) - 1.0) == 0.0
             points = stationary_points(problem(dim, gamma)).points
-            assert len(points) == (2 if dim is Dimension.D3 and gamma < 0.0 else 1), (dim, s)
+            kinds = ([PointKind.MAXIMUM, PointKind.MINIMUM] if dim is Dimension.D3 and gamma < 0.0
+                     else [PointKind.MINIMUM])
+            assert [point.kind for point in points] == kinds, (dim, s, points)
             assert any(abs(point.s - s) <= 1e-12 * s for point in points), (dim, s, points)
             for point in points:
                 terms = slope_terms(dim, gamma, point.s)
@@ -383,9 +389,23 @@ def test_roots_on_scan_points_are_found_once():
     assert exact_zeros > 0
 
 
-@settings(derandomize=True, deadline=None)
+# Couplings past 1e6 whose outcome is pinned: answered (True) or refused with an
+# ArithmeticError (False).  Unrefused, the four False ones would be reported with a
+# wrong width, with no width in 1D, or with an infinite residual.
+HUGE_COUPLING_ANSWERED = {
+    (Dimension.D3, 1e300): True,
+    (Dimension.D1, 1e200): True,
+    (Dimension.D1, 1.7e308): False,
+    (Dimension.D1, -1.7e308): False,
+    (Dimension.D3, 1.7e308): False,
+    (Dimension.D1, 4.9485809171023767e+294): False,
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
 @given(dim=st.sampled_from([Dimension.D1, Dimension.D3]),
-       gamma=st.floats(min_value=-1e6, max_value=1e6))
+       gamma=st.one_of(st.floats(min_value=-1e6, max_value=1e6),
+                       st.floats(allow_nan=False, allow_infinity=False)))
 @example(dim=Dimension.D3, gamma=-GAMMA_CRITICAL_3D)
 @example(dim=Dimension.D3, gamma=-GAMMA_CRITICAL_3D + 5e-10)     # inside the band
 @example(dim=Dimension.D3, gamma=-GAMMA_CRITICAL_3D - 5e-10)
@@ -395,14 +415,27 @@ def test_roots_on_scan_points_are_found_once():
 @example(dim=Dimension.D3, gamma=-1e-60)
 @example(dim=Dimension.D3, gamma=-1e-300)     # barrier below float64 range
 @example(dim=Dimension.D3, gamma=-5e-324)
+@example(dim=Dimension.D3, gamma=1e300)
+@example(dim=Dimension.D1, gamma=1e200)
+@example(dim=Dimension.D1, gamma=1.7e308)
+@example(dim=Dimension.D1, gamma=-1.7e308)
+@example(dim=Dimension.D3, gamma=1.7e308)
+@example(dim=Dimension.D1, gamma=4.9485809171023767e+294)
 def test_stationary_points_property_any_finite_coupling(dim, gamma):
-    c = 2.0 * gamma / SQRT_2PI
-    if dim is Dimension.D3 and gamma < 0.0 and (abs(c) / 2.0) ** 5 < sys.float_info.min:
+    c = gamma / (SQRT_2PI / 2.0)   # 2 * gamma / SQRT_2PI, bit for bit, without overflow
+    if (dim is Dimension.D3 and gamma < 0.0 and abs(c) < 1.0
+            and (abs(c) / 2.0) ** 5 < sys.float_info.min):
         # de/ds cannot be evaluated at the barrier width ~|c|: rejected, not mislabelled
         with pytest.raises(ValueError, match="too weak"):
             stationary_points(problem(dim, gamma))
         return
-    report = stationary_points(problem(dim, gamma))
+    try:
+        report = stationary_points(problem(dim, gamma))
+    except ArithmeticError:
+        # past 1e6 a width, or its residual, may leave what float64 resolves
+        assert abs(gamma) > 1e6 and not HUGE_COUPLING_ANSWERED.get((dim, gamma), False)
+        return
+    assert HUGE_COUPLING_ANSWERED.get((dim, gamma), True)
 
     minimum, maximum = PointKind.MINIMUM, PointKind.MAXIMUM
     if gamma == 0.0:
@@ -424,8 +457,10 @@ def test_stationary_points_property_any_finite_coupling(dim, gamma):
         return      # exempt from the residual contract, see StationaryPoint
     for point in report.points:
         terms = slope_terms(dim, gamma, point.s)
-        bound = max(1e-10, 4.0 * sys.float_info.epsilon * sum(abs(t) for t in terms))
-        assert point.residual <= bound, (point, bound)
+        # 4 eps is a power of two, so scaling each term first gives 4 eps * sum(|terms|)
+        # bit for bit, and the sum of three finite terms cannot overflow
+        bound = max(1e-10, sum(4.0 * sys.float_info.epsilon * abs(t) for t in terms))
+        assert point.residual <= bound < math.inf, (point, bound)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

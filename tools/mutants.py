@@ -11,9 +11,10 @@ without an installed entry point) are deselected.  A run past the timeout
 counts as killed.
 
 Run from anywhere, outside Tier-1:  python tools/mutants.py
-A full run takes about 2 minutes on a 2-core Xeon with Python 3.11, 45 s of
-it for the steepest-descent mutant, whose Tier-1 runs only slower.  It prints one line per mutant and exits 0; a snippet that no
-longer occurs exactly once is an error (exit 1) before anything runs.
+A full run takes about 70 s on a 2-core Xeon with Python 3.11.  It prints
+one line per mutant.  It exits 1 when a mutant survives that is
+not in ``SURVIVORS``, the mutants kept with a reason, and also, before
+anything runs, when a snippet no longer occurs exactly once; else it exits 0.
 """
 
 from __future__ import annotations
@@ -53,6 +54,10 @@ MUTANTS = (
     ("gpe.py", "if state.residual is not None and not state.converged:", "if False:",
      "measured_width accepts unconverged states"),
     ("variational.py", "_CRITICAL_BAND = 1e-9", "_CRITICAL_BAND = 1e-6", "a wider critical band"),
+    ("variational.py", "    if not _resolved(report):", "    if False:",
+     "stationary_points returns reports float64 cannot resolve"),
+    ("variational.py", "if (left > 0.0) != (right > 0.0))", "if (left >= 0.0) != (right >= 0.0))",
+     "the scan counts a zero of p as positive"),
     ("units.py", "HBAR = 1.054571817e-34", "HBAR = 1.0546e-34", "HBAR rounded"),
     ("variational.py", "        * aho\n", "        * aho * (1.0 + 1e-9)\n",
      "N_max off by 1e-9"),
@@ -66,6 +71,12 @@ MUTANTS = (
     ("cli.py", 'key = "gamma" if field.name == "gamma_total" else field.name',
      "key = field.name", "_fields drops the gamma rename"),
 )
+
+# Mutants that Tier-1 is known not to kill, by reason, with why each is kept.
+SURVIVORS = {
+    "the restart test never fires":
+        "costs only steps, and on every run tried the step counts are identical",
+}
 
 
 def _tier1(cwd: Path, deselect: list[str], stop_early: bool) -> tuple[str, list[str]]:
@@ -101,7 +112,7 @@ def main() -> int:
 
         _, baseline = _tier1(work, [], stop_early=False)
         print(f"unmutated: {len(baseline)} failing, deselected: {' '.join(baseline) or '-'}")
-        killed = 0
+        killed, unexpected = 0, []
         for name, old, new, reason in MUTANTS:
             path = work / "src" / "becstab" / name
             path.write_text(sources[name].replace(old, new))
@@ -110,11 +121,16 @@ def main() -> int:
             path.write_text(sources[name])
             verdict = "survived" if outcome == "passed" else "killed"
             killed += verdict == "killed"
+            if verdict == "survived" and reason not in SURVIVORS:
+                unexpected.append(reason)
             evidence = failed[0] if failed else outcome
             print(f"{verdict:8s} {time.perf_counter() - start:6.1f}s  {name}: {reason}"
-                  + (f"  [{evidence}]" if verdict == "killed" else ""), flush=True)
+                  + (f"  [{evidence}]" if verdict == "killed" else "")
+                  + (f"  (kept: {SURVIVORS[reason]})" if reason in SURVIVORS else ""), flush=True)
         print(f"{killed} of {len(MUTANTS)} killed")
-    return 0
+    for reason in unexpected:
+        print(f"error: survived, and not a kept survivor: {reason}", file=sys.stderr)
+    return 1 if unexpected else 0
 
 
 if __name__ == "__main__":
