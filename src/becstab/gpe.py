@@ -49,12 +49,15 @@ preconditioned residual
 when it is at most 1e-6.  P is applied exactly in O(n) memory: the discrete
 sine transform (DST-I), built from the real FFT of the odd extension,
 diagonalises Delta_h.  A run is ``collapsed`` once its rms width is below 4h,
-or in 3D once its energy is below 0.  In 1D that means the grid is too coarse.
-The 3D floor is the virial theorem of the trapped gas: 2K - 2V + 3I = 0 at
-every stationary state, so E = K/3 + 5V/3 >= sqrt(5)/2 there (K V >= 9/16 by
-the uncertainty relation), and on the grid to O(h^2).  Accepted energies only
-fall, so a 3D run whose energy is negative can never end at a stationary
-state.  The 1D virial, 2K - 2V + I = 0, allows E < 0: 1D has no energy floor.
+or in 3D once its energy is below sqrt(5)/2 - h^2.  In 1D that means the grid
+is too coarse.  The 3D floor is the virial theorem of the trapped gas:
+2K - 2V + 3I = 0 at every stationary state, so E = K/3 + 5V/3 >= sqrt(5)/2
+there (K V >= 9/16 by the uncertainty relation), and on the grid to O(h^2),
+which the h^2 allowance covers.  Accepted energies only fall, so a 3D run
+below the floor can never end at a stationary state.  The metastable states
+nearest the fold sit at E ~ 1.17, above sqrt(5)/2 ~ 1.118, so a collapsing
+run crosses the floor long before its energy turns negative.  The 1D virial,
+2K - 2V + I = 0, allows E < 0: 1D has no energy floor.
 """
 
 from __future__ import annotations
@@ -74,9 +77,10 @@ DEFAULT_MAX_ITER = 500_000
 # A run is ``converged`` once the preconditioned residual is at most this.
 _RESIDUAL_TOL = 1e-6
 # Collapse thresholds: the rms width in grid spacings, and the energy floor in 3D,
-# where the virial theorem puts every stationary state at E = K/3 + 5V/3 > 0.
+# where the virial theorem puts every stationary state at E = K/3 + 5V/3 >= sqrt(5)/2;
+# a run compares it less h^2, the grid's O(h^2) error.
 _COLLAPSE_WIDTH_FACTOR = 4.0
-_COLLAPSE_ENERGY = 0.0
+_COLLAPSE_ENERGY = math.sqrt(5.0) / 2.0
 _NORM_TOL = 1e-9
 
 
@@ -87,6 +91,12 @@ class GridSpec:
     3D grids are radial ([0, r_max] with n_points samples); 1D grids span
     [-r_max, r_max] with 2*n_points - 1 samples.  Both share the spacing
     h = r_max / (n_points - 1).  Lengths are in oscillator units.
+
+    The preconditioner's sine transform is a real FFT of length
+    2 (n_points - 1) in 3D and 4 (n_points - 1) in 1D, so grids are fastest
+    when n_points - 1 is a power of two (65, 129, 257, 513, ...).  A power of
+    two for n_points itself can leave a large prime factor: 3D n_points = 128
+    transforms 2 * 127 samples.
     """
 
     dimension: Dimension
@@ -311,7 +321,7 @@ def minimize(
     ``residual`` is that of its ``values``, except on a collapse, which
     skips it (it can overflow there) and returns None.  In 3D the default
     s = 1 start has energy 3/2 + Gamma / sqrt(2 pi) (to O(h^2)), so below
-    Gamma ~ -3.76 it is already collapsed and no step is taken.  For attractive
+    Gamma ~ -0.96 it is already collapsed and no step is taken.  For attractive
     couplings the default Gaussian start lies in the metastable basin, and
     the energy falls along every accepted arc, so the local minimum is
     found, never the global descent.
@@ -340,10 +350,11 @@ def minimize(
             view.flags.writeable = False
             on_accept(energy.total, view)
         # A grid-scale width: collapse in 3D, a failed grid in 1D (a 1D ground state always exists).
-        # In 3D a negative energy is past every stationary state (virial); on fine grids it
-        # decides long before the spike's width reaches 4h, since its tail keeps the width wide.
+        # In 3D an energy below the virial floor is past every stationary state; on fine grids
+        # it decides long before the spike's width reaches 4h, since its tail keeps the width wide.
         collapsed = (_width(energy, spec.dimension) < _COLLAPSE_WIDTH_FACTOR * disc.h
-                     or spec.dimension is Dimension.D3 and energy.total < _COLLAPSE_ENERGY)
+                     or spec.dimension is Dimension.D3
+                     and energy.total < _COLLAPSE_ENERGY - disc.h * disc.h)
         if collapsed:
             converged, residual_norm = False, None
             break

@@ -237,13 +237,14 @@ def _scan_grid(problem: DimensionlessProblem) -> list[float]:
 
     An attractive 3D coupling with (|c|/2)^5 below the normal float64 range
     (|Gamma| under about 1.6e-61) is still rejected, though p stays finite: the
-    barrier width ~|c| takes its residual from 1/s^4 in :func:`denergy`.
+    barrier width ~|c| takes its residual from 1/s^4 in :func:`denergy`.  The
+    power is taken only for |c| < 1, so a huge |c| cannot overflow it.
     """
     gamma = problem.gamma_total
     c = gamma / (SQRT_2PI / 2.0)   # 2 * gamma would overflow above about 9e307
     probes = [1.0 + max(1.0, abs(c)) + 1.0]
     if problem.dimension is Dimension.D3 and gamma < 0.0:
-        if (abs(c) / 2.0) ** 5 < sys.float_info.min:
+        if abs(c) < 1.0 and (abs(c) / 2.0) ** 5 < sys.float_info.min:
             raise ValueError(f"attractive 3D coupling {gamma!r} is too weak: its barrier "
                              f"width ~{abs(c)!r} is below the float64 range of de/ds")
         probes.append(S_MIN_3D)

@@ -208,11 +208,20 @@ def test_non_finite_input_is_validation_error(argv, capsys):
     ["minimize", "--dim", "1", "--gamma", "1.7e308"],
     ["minimize", "--dim", "1", "--gamma", "-1.7e308"],
     ["minimize", "--dim", "3", "--gamma", "1.7e308"],
-    ["minimize", "--dim", "3", "--gamma", "-1.7e308"],
 ])
 def test_arithmetic_overflow_is_compute_failure(argv, capsys):
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("compute failure: OverflowError")
+
+
+@pytest.mark.parametrize("gamma", ["-1e63", "-1.7e308"])
+def test_huge_attractive_3d_coupling_has_no_width(gamma, capsys):
+    # far past the fold: collapsed with no stationary width, not an overflow in the scan
+    assert run(["minimize", "--dim", "3", "--gamma", gamma, "--json"]) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert (payload["regime"], payload["points"]) == ("attractive_collapsed", [])
+    assert captured.err == ""
 
 
 def test_huge_repulsive_coupling_gets_its_width(capsys):

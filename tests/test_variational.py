@@ -398,6 +398,7 @@ HUGE_COUPLING_ANSWERED = {
     (Dimension.D1, 1.7e308): False,
     (Dimension.D1, -1.7e308): False,
     (Dimension.D3, 1.7e308): False,
+    (Dimension.D3, -1.7e308): True,
     (Dimension.D1, 4.9485809171023767e+294): False,
 }
 
@@ -420,6 +421,7 @@ HUGE_COUPLING_ANSWERED = {
 @example(dim=Dimension.D1, gamma=1.7e308)
 @example(dim=Dimension.D1, gamma=-1.7e308)
 @example(dim=Dimension.D3, gamma=1.7e308)
+@example(dim=Dimension.D3, gamma=-1.7e308)
 @example(dim=Dimension.D1, gamma=4.9485809171023767e+294)
 def test_stationary_points_property_any_finite_coupling(dim, gamma):
     c = gamma / (SQRT_2PI / 2.0)   # 2 * gamma / SQRT_2PI, bit for bit, without overflow

@@ -11,7 +11,7 @@ without an installed entry point) are deselected.  A run past the timeout
 counts as killed.
 
 Run from anywhere, outside Tier-1:  python tools/mutants.py
-A full run takes about 70 s on a 2-core Xeon with Python 3.11.  It prints
+A full run takes about 90 s on a 2-core Xeon with Python 3.11.  It prints
 one line per mutant.  It exits 1 when a mutant survives that is
 not in ``SURVIVORS``, the mutants kept with a reason, and also, before
 anything runs, when a snippet no longer occurs exactly once; else it exits 0.
@@ -65,6 +65,14 @@ MUTANTS = (
      "on_accept fires at the start state"),
     ("gpe.py", "if not (math.isfinite(self.r_max) and self.r_max >= 6.0):",
      "if not self.r_max >= 6.0:", "GridSpec accepts an infinite r_max"),
+    ("gpe.py", "energy.total < _COLLAPSE_ENERGY - disc.h * disc.h",
+     "energy.total < 0.0", "the 3D energy floor back at 0"),
+    ("gpe.py", "_COLLAPSE_ENERGY = math.sqrt(5.0) / 2.0",
+     "_COLLAPSE_ENERGY = math.sqrt(5.0) / 2.0 + 0.1",
+     "the 3D energy floor above the metastable states near the fold"),
+    ("variational.py", "if abs(c) < 1.0 and (abs(c) / 2.0) ** 5 < sys.float_info.min:",
+     "if (abs(c) / 2.0) ** 5 < sys.float_info.min:",
+     "the weak-coupling guard overflows on a huge attractive 3D coupling"),
     # The JSON walker.
     ("cli.py", "payload.update(_fields(value))", "continue",
      "_fields skips nested dataclasses"),
